@@ -50,7 +50,7 @@ from .planner import (
     repair_merge,
     verdict,
 )
-from .ratio import Rat, format_rat, is_prime, parse_rat
+from .ratio import format_rat, is_prime, parse_rat
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "InfeasiblePlanError",
     "InconsistentPresentationError",
     "CapExceededError",
-    "Rat",
     "format_rat",
     "parse_rat",
     "is_prime",

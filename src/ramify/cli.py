@@ -33,7 +33,7 @@ from .planner import (
     break_triple_feasible,
     repair_merge,
 )
-from .ratio import format_rat, parse_rat
+from .ratio import format_rat, is_int, parse_rat
 
 __all__ = ["main"]
 
@@ -70,6 +70,8 @@ def _read_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply") from None
 
 
 def _parse_json_arg(text: str, what: str):
@@ -77,6 +79,8 @@ def _parse_json_arg(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{what} is nested too deeply") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -113,7 +117,10 @@ def _load_filtration(data, cap: int, check: bool) -> RamFiltration:
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"element", "value"}:
             raise InputError('each "ig" entry needs exactly "element" and "value"')
-        key = tuple(entry["element"])
+        element = entry["element"]
+        if not isinstance(element, list) or not all(map(is_int, element)):
+            raise InputError('"element" must be a list of integer exponents')
+        key = tuple(element)
         if key in ig:
             raise InputError(f"duplicate ig entry for element {list(key)}")
         ig[key] = entry["value"]
@@ -185,15 +192,6 @@ def _cmd_herbrand(args) -> int:
 # group subcommands
 # ---------------------------------------------------------------------------
 
-def _series_report(group: PcGroup) -> dict:
-    report = group.series_equality_check()
-    gamma = [s.order for s in group.lower_central_series()]
-    pser = [s.order for s in group.lower_p_series()]
-    report["gamma_orders"] = gamma
-    report["p_orders"] = pser
-    return report
-
-
 def _cmd_group(args) -> int:
     cap = _cap()
     data = _read_json(args.file)
@@ -211,7 +209,7 @@ def _cmd_group(args) -> int:
         out = {"consistent": True, "p": pres.p, "n": pres.n, "order": pres.order}
         if args.series:
             group = PcGroup(pres, cap=cap, _checked=True)
-            out["series"] = _series_report(group)
+            out["series"] = group.series_equality_check()
         _emit_json(out, args.out)
         return 0
     group = PcGroup(pres, cap=cap)
@@ -225,7 +223,7 @@ def _cmd_group(args) -> int:
             {"order": sub.order, "elements": _elements_json(sub.elements)}, args.out
         )
     elif args.action == "series":
-        _emit_json(_series_report(group), args.out)
+        _emit_json(group.series_equality_check(), args.out)
     elif args.action == "rank":
         out = group.rank_growth_probe(args.k)
         out["k"] = args.k
@@ -307,9 +305,8 @@ def _cmd_filtration(args) -> int:
 # plan subcommands
 # ---------------------------------------------------------------------------
 
-def _evaluate_plan_json(data: dict) -> dict:
-    seq = evaluate_plan(TowerPlan.from_json_dict(data))
-    return seq.to_json_dict()
+def _evaluate_plan_dict(data) -> BreakSequence:
+    return evaluate_plan(TowerPlan.from_json_dict(data))
 
 
 def _cmd_plan(args) -> int:
@@ -324,6 +321,8 @@ def _cmd_plan(args) -> int:
         _emit_json({"admissible": ok}, args.out)
         return 0 if ok else 2
     # run
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     data = _read_json(args.file)
     if isinstance(data, dict) and "plans" in data:
         extra = set(data) - {"plans"}
@@ -332,19 +331,20 @@ def _cmd_plan(args) -> int:
         plan_dicts = data["plans"]
         if not isinstance(plan_dicts, list) or not plan_dicts:
             raise InputError('"plans" must be a nonempty list')
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_evaluate_plan_json, plan_dicts))
+        # under fork every worker starts on the first submit, so never ask
+        # for more than there are plans or CPUs
+        workers = min(args.jobs, len(plan_dicts), os.cpu_count() or 1)
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                seqs = list(pool.map(_evaluate_plan_dict, plan_dicts))
         else:
-            results = [_evaluate_plan_json(d) for d in plan_dicts]
-        seqs = [BreakSequence.from_json_dict(r) for r in results]
+            seqs = [_evaluate_plan_dict(d) for d in plan_dicts]
         if args.format == "csv":
             _emit("".join(_seq_csv(s) for s in seqs), args.out)
         else:
-            _emit_json({"results": results}, args.out)
+            _emit_json({"results": [s.to_json_dict() for s in seqs]}, args.out)
         return 0
-    seq = evaluate_plan(TowerPlan.from_json_dict(data))
-    _seq_output(seq, args.format, args.out)
+    _seq_output(_evaluate_plan_dict(data), args.format, args.out)
     return 0
 
 

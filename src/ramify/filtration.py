@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .herbrand import PLFunc, identity_func, invert
+from .herbrand import PLFunc, _from_points, identity_func, invert
 from .pcgroup import Element, PcGroup, Subgroup
 from .ratio import parse_rat
 
@@ -28,9 +28,6 @@ __all__ = [
     "ValidationReport",
     "quotient_filtration",
 ]
-
-_INF = None  # internal marker for the identity's value
-
 
 class CosetGroup:
     """Quotient G/H on canonical coset representatives (minimal exponent tuple)."""
@@ -147,7 +144,7 @@ class RamFiltration:
         """Break value of x; None for the identity (above every level)."""
         x = tuple(x)
         if x == self.group.identity():
-            return _INF
+            return None
         try:
             return self.ig[x]
         except KeyError:
@@ -196,35 +193,17 @@ class RamFiltration:
         order = self.group.order
         if order == 1 or not self.ig:
             return identity_func()
-        values = self.distinct_values()
-        counts = []
-        for v in values:
-            counts.append(1 + sum(1 for val in self.ig.values() if val >= v))
-        # segment boundaries in lower numbering and the slope after each
-        xs: list[Fraction] = []
-        slopes: list[Fraction] = [Fraction(1)]
-        for k, v in enumerate(values):
+        # slope |G_t| / |G| on (tau_prev, tau], where G_t holds the values >= v
+        points: list[tuple[Fraction, Fraction]] = []
+        x, y = Fraction(0), Fraction(0)
+        for v in self.distinct_values():
             tau = v - 1
-            after = Fraction(counts[k + 1], order) if k + 1 < len(values) else Fraction(1, order)
-            if tau == 0:
-                slopes[0] = after
-                continue
-            xs.append(tau)
-            slopes.append(after)
-        ys: list[Fraction] = []
-        prev_x, prev_y = Fraction(0), Fraction(0)
-        for k, x in enumerate(xs):
-            y = prev_y + slopes[k] * (x - prev_x)
-            ys.append(y)
-            prev_x, prev_y = x, y
-        # merge collinear segments to keep the representation normalized
-        bps, kept = [], [slopes[0]]
-        for k in range(len(xs)):
-            if slopes[k + 1] == kept[-1]:
-                continue
-            bps.append((xs[k], ys[k]))
-            kept.append(slopes[k + 1])
-        return PLFunc(tuple(bps), tuple(kept))
+            size = 1 + sum(1 for val in self.ig.values() if val >= v)
+            y += Fraction(size, order) * (tau - x)
+            x = tau
+            if tau > 0:
+                points.append((x, y))
+        return _from_points(points, Fraction(1, order))
 
     def upper_breaks(self) -> list[Fraction]:
         phi = self.herbrand_func()
@@ -254,10 +233,7 @@ def quotient_filtration(rf: RamFiltration, kernel: Subgroup) -> RamFiltration:
     phi = rf.herbrand_func()
     # largest upper level containing each non-identity coset
     last_level: dict[Element, Fraction] = {}
-    for x in group.elements():
-        v = rf.value_of(x)
-        if v is _INF:
-            continue
+    for x, v in rf.ig.items():
         c = quot.project(x)
         if c == identity_coset:
             continue

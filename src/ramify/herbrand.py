@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .ratio import format_rat, parse_rat, require_prime
+from .ratio import format_rat, is_int, parse_rat, require_prime
 
 __all__ = [
     "PLFunc",
@@ -90,10 +90,6 @@ class PLFunc:
     # -- derived data ---------------------------------------------------
 
     @property
-    def initial_slope(self) -> Fraction:
-        return self.slopes[0]
-
-    @property
     def final_slope(self) -> Fraction:
         return self.slopes[-1]
 
@@ -156,7 +152,7 @@ def psi_step(i, p) -> PLFunc:
     Identity up to the break, slope p beyond it; continuous at x = i.
     """
     p = require_prime(p)
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+    if not is_int(i) or i < 1:
         raise InputError(f"break must be a positive integer, got {i!r}")
     return PLFunc(((Fraction(i), Fraction(i)),), (Fraction(1), Fraction(p)))
 
@@ -192,24 +188,29 @@ def tower_psi(relative_breaks: Iterable[int], p) -> PLFunc:
     one (strictly increasing filtration), otherwise InputError is raised.
     Successive slopes are then 1, p, p^2, ... and the upper breaks of the
     tower are exactly the breakpoint abscissas of the result.
+
+    Transition functions compose, so the result is built directly from its
+    breakpoints (u_n, t_n): u_1 = t_1 and u_n = u_(n-1) + (t_n - t_(n-1))/p^(n-1),
+    the inverse of the tower so far evaluated at t_n.  This equals folding
+    ``compose(psi_step(t, p), psi)`` over the steps, in linear time.
     """
     p = require_prime(p)
-    breaks = list(relative_breaks)
-    if not breaks:
-        return identity_func()
-    psi = identity_func()
-    last_upper = None
-    for t in breaks:
-        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+    points: list[tuple[Fraction, Fraction]] = []
+    for t in relative_breaks:
+        if not is_int(t) or t < 1:
             raise InputError(f"relative break must be a positive integer, got {t!r}")
-        upper = invert(psi).eval(Fraction(t))
-        if last_upper is not None and upper <= last_upper:
+        t = Fraction(t)
+        if not points:
+            points.append((t, t))
+            continue
+        last_upper, last_t = points[-1]
+        if t <= last_t:
+            upper = invert(_from_points(points, p ** len(points))).eval(t)
             raise InputError(
                 f"non-increasing filtration: upper break {upper} does not exceed {last_upper}"
             )
-        last_upper = upper
-        psi = compose(psi_step(t, p), psi)
-    return psi
+        points.append((last_upper + (t - last_t) / p ** len(points), t))
+    return _from_points(points, p ** len(points))
 
 
 def tower_upper_breaks(relative_breaks: Iterable[int], p) -> tuple[Fraction, ...]:

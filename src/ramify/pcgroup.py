@@ -16,11 +16,11 @@ table.  All failure paths report an explicit witness triple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, InconsistentPresentationError, InputError
-from .ratio import require_prime
+from .ratio import is_int, require_prime
 
 __all__ = [
     "PcPresentation",
@@ -48,8 +48,8 @@ def _clean_rhs(rhs, j: int, n: int, p: int, what: str) -> tuple[tuple[int, int],
     for k, e in sorted(dict(rhs).items()):
         if not isinstance(k, int) or k <= j or k > n:
             raise InputError(f"{what}: right-hand side index {k} must lie in ({j}, {n}]")
-        if not isinstance(e, int) or not 0 < e < p:
-            raise InputError(f"{what}: exponent {e} for a_{k} must lie in [1, {p})")
+        if not is_int(e) or not 0 < e < p:
+            raise InputError(f"{what}: exponent {e!r} for a_{k} must lie in [1, {p})")
         items.append((k, e))
     return tuple(items)
 
@@ -76,7 +76,7 @@ class PcPresentation:
         Unspecified right-hand sides are trivial (a_j^p = 1, [a_j, a_i] = 1).
         """
         p = require_prime(p)
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise InputError(f"generator count must be a positive integer, got {n!r}")
         power = dict(power or {})
         comm = dict(comm or {})
@@ -145,19 +145,26 @@ class PcPresentation:
             raise InputError(f"unknown presentation fields: {sorted(extra)}")
         try:
             p, n = data["p"], data["n"]
+            # object keys are strings; exponents are checked by _clean_rhs
             power = {
-                int(row["j"]): {int(k): int(e) for k, e in row.get("rhs", {}).items()}
+                _index(row["j"]): {int(k): e for k, e in row.get("rhs", {}).items()}
                 for row in data.get("power", [])
             }
             comm = {
-                (int(row["j"]), int(row["i"])): {
-                    int(k): int(e) for k, e in row.get("rhs", {}).items()
+                (_index(row["j"]), _index(row["i"])): {
+                    int(k): e for k, e in row.get("rhs", {}).items()
                 }
                 for row in data.get("comm", [])
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad presentation: {exc}") from exc
         return cls.build(p, n, power, comm)
+
+
+def _index(value) -> int:
+    if not is_int(value):
+        raise InputError(f"generator index must be an integer, got {value!r}")
+    return value
 
 
 class _Collector:
@@ -346,9 +353,6 @@ class Subgroup:
     def __contains__(self, x) -> bool:
         return x in self.elements
 
-    def sorted_elements(self) -> list:
-        return sorted(self.elements)
-
     def is_normal(self) -> bool:
         g = self.group
         for a in g.pc_generators():
@@ -395,10 +399,12 @@ class PcGroup:
         return self.pres.generator(j)
 
     def element(self, exponents: Sequence[int]) -> Element:
+        if not isinstance(exponents, (list, tuple)):
+            raise InputError(f"element must be a list of exponents, got {exponents!r}")
         exps = tuple(exponents)
         if len(exps) != self.pres.n:
             raise InputError(f"element needs {self.pres.n} exponents, got {len(exps)}")
-        if any(not isinstance(e, int) or not 0 <= e < self.p for e in exps):
+        if any(not is_int(e) or not 0 <= e < self.p for e in exps):
             raise InputError(f"exponents must lie in [0, {self.p}), got {exps}")
         return exps
 
@@ -526,7 +532,8 @@ class PcGroup:
         """Compare the lower central series with the lower p-series levelwise.
 
         Also reports whether every p-th power lies in the derived subgroup,
-        the condition under which the two series coincide for these groups.
+        the condition under which the two series coincide for these groups,
+        and the orders of the terms of each series.
         """
         gamma = self.lower_central_series()
         pser = self.lower_p_series()
@@ -545,6 +552,8 @@ class PcGroup:
             "levels": levels,
             "all_equal": all(level["equal"] for level in levels),
             "gp_in_derived": gp_in_derived,
+            "gamma_orders": [s.order for s in gamma],
+            "p_orders": [s.order for s in pser],
         }
 
     # -- invariants of subgroups ---------------------------------------------

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InfeasiblePlanError, InputError
-from .herbrand import psi_step, tower_psi
-from .ratio import format_rat, parse_rat, require_prime
+from .herbrand import invert, psi_step, tower_psi
+from .ratio import format_rat, is_int, parse_rat, require_prime
 
 __all__ = [
     "TowerPlan",
@@ -64,9 +64,9 @@ def cyclic_break_admissible(j: int, p: int, e: int, strict: bool = True) -> bool
     prime to p unless it sits exactly at the bound.
     """
     require_prime(p)
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
+    if not is_int(j) or j < 1:
         raise InputError(f"break must be a positive integer, got {j!r}")
-    if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+    if not is_int(e) or e < 1:
         raise InputError(f"ramification index must be a positive integer, got {e!r}")
     bound = Fraction(p * e, p - 1)
     if j > bound:
@@ -96,7 +96,7 @@ def break_triple_feasible(i: int, j: int, s: int, p: int, e: int) -> Feasibility
     """
     require_prime(p)
     for name, val in (("i", i), ("j", j), ("s", s), ("e", e)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        if not is_int(val) or val < 1:
             raise InputError(f"{name} must be a positive integer, got {val!r}")
     if j % p == 0:
         return FeasibilityResult(False, f"p = {p} divides j = {j}")
@@ -325,37 +325,42 @@ class BreakSequence:
         if not isinstance(data, Mapping):
             raise InputError("break sequence JSON must be an object")
         data = dict(data)
-        try:
-            upper = tuple(parse_rat(u) for u in data.pop("upper"))
-        except KeyError:
-            raise InputError('break sequence JSON needs an "upper" list') from None
-        levels = tuple(data.pop("levels", range(1, len(upper) + 1)))
-        lower = tuple(parse_rat(t) for t in data.pop("lower", []))
+        if "upper" not in data:
+            raise InputError('break sequence JSON needs an "upper" list')
+        upper = tuple(parse_rat(u) for u in _pop_list(data, "upper"))
+        if "levels" in data:
+            levels = tuple(_pop_list(data, "levels", is_int, " of integers"))
+        else:
+            levels = tuple(range(1, len(upper) + 1))
+        lower = tuple(parse_rat(t) for t in _pop_list(data, "lower"))
         verdict_val = data.pop("verdict", VERDICT_UNDETERMINED)
         bound = data.pop("limit_bound", None)
         bound = None if bound is None else parse_rat(bound)
         certificate = data.pop("certificate", None)
-        flags = tuple(bool(f) for f in data.pop("flags", []))
-        warnings = tuple(data.pop("warnings", []))
+        if certificate is not None and not isinstance(certificate, str):
+            raise InputError(f"certificate must be a string or null, got {certificate!r}")
+        flags = tuple(_pop_list(data, "flags", lambda f: isinstance(f, bool), " of booleans"))
+        warnings = tuple(_pop_list(data, "warnings", lambda w: isinstance(w, str), " of strings"))
         if data:
             raise InputError(f"unknown break sequence fields: {sorted(data)}")
         return cls(levels, lower, upper, verdict_val, bound, certificate, flags, warnings)
 
 
+def _pop_list(data: dict, key: str, item_ok=None, items: str = "") -> list:
+    value = data.pop(key, [])
+    if not isinstance(value, list) or (item_ok and not all(map(item_ok, value))):
+        raise InputError(f'"{key}" must be a list{items}')
+    return value
+
+
 def _require_posint(name: str, val) -> None:
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+    if not is_int(val) or val < 1:
         raise InputError(f"{name} must be a positive integer, got {val!r}")
 
 
 # ---------------------------------------------------------------------------
 # apf plans
 # ---------------------------------------------------------------------------
-
-def _phi_step(i1: int, p: int, x: Fraction) -> Fraction:
-    # upper image of x >= i1 through a step with break i1:
-    # i1*(p-1)/p + x/p, the inverse transition function above its break
-    return Fraction(i1 * (p - 1), p) + Fraction(x, p)
-
 
 def apf_plan(plan: TowerPlan) -> BreakSequence:
     """Evaluate the recursive upper-break sequence u_3, u_5, ..., u_{2N+1}.
@@ -390,10 +395,9 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
         raise InfeasiblePlanError(
             f"p = {p} must not divide i - i1 = {i - i1}"
         )
-    upper = [_phi_step(i1, p, Fraction(i))]
+    upper = [invert(psi_step(i1, p)).eval(Fraction(i))]
     lower = [Fraction(i1)]
     levels = [3]
-    used_breaks = [i1]
     for k in range(2, n_max + 1):
         brk = plan.step_break(k)
         e_k = plan.step_index(k)
@@ -406,10 +410,9 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
                 f"transition precondition fails at level {2 * k + 1}: "
                 f"running break {format_rat(upper[-1])} < step break {brk}"
             )
-        upper.append(_phi_step(brk, p, upper[-1]))
+        upper.append(invert(psi_step(brk, p)).eval(upper[-1]))
         lower.append(Fraction(brk))
         levels.append(2 * k + 1)
-        used_breaks.append(brk)
     if plan.scaling == "scaled":
         verdict_val = VERDICT_APF
         bound = None
@@ -419,7 +422,7 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
         )
     else:
         verdict_val = VERDICT_NON_APF
-        bound = max(upper[0], Fraction(max(used_breaks)))
+        bound = max(upper[0], max(lower))
         cert = (
             "flat levels: each step contracts the running break toward its own "
             f"break, so the sequence never exceeds {format_rat(bound)}"
@@ -519,8 +522,6 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
             )
             flags[n - 1] = True
     upper = list(tower_psi(schedule, p).break_xs())
-    if len(upper) != len(schedule):
-        raise InfeasiblePlanError("tower produced fewer breaks than scheduled")
     diffs = [upper[k + 1] - upper[k] for k in range(len(upper) - 1)]
     verdict_val, bound, cert = VERDICT_UNDETERMINED, None, None
     if plan.kind == "custom":

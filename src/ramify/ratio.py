@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Rat = Fraction
-
 _RAT_RE = re.compile(r"[+-]?\d+(?:/[+-]?\d+)?")
 
 
@@ -49,6 +47,11 @@ def parse_rat(text) -> Fraction:
         raise InputError(f"not a rational: {text!r}") from exc
 
 
+def is_int(value) -> bool:
+    """A genuine integer: bools (JSON true/false) and floats do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_prime(p: int) -> bool:
     if not isinstance(p, int) or p < 2:
         return False
@@ -65,6 +68,6 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime(p) -> int:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    if not is_int(p) or not is_prime(p):
         raise InputError(f"p must be a prime integer, got {p!r}")
     return p

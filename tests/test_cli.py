@@ -383,6 +383,108 @@ def test_merge_rejects_unknown_fields(tmp_path, capsys):
     assert "unknown merge fields" in json.loads(err)["error"]
 
 
+# -- strict schema at the boundary -----------------------------------------------
+
+_DEEP = "[" * 50_000 + "]" * 50_000
+_HEIS3 = build_heisenberg(3).to_json_dict()
+
+
+def _merge_input(**fields):
+    return {"sequences": [dict({"upper": ["1", "2"]}, **fields), {"upper": ["1", "3"]}]}
+
+
+def _filtration_input(*elements):
+    ig = [{"element": x, "value": 5} for x in elements]
+    return {"group": _HEIS3, "ig": ig, "default": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["plan", "run"], _DEEP),
+        (["group", "closure", "--gens", _DEEP], _HEIS3),
+        (["filtration", "quotient", "--kernel", _DEEP], _filtration_input([0, 0, 1], [0, 0, 2])),
+        (["merge", "max"], _merge_input(levels=[[1], 2])),
+        (["merge", "max"], _merge_input(upper=5)),
+        (["merge", "max"], _merge_input(flags=3)),
+        (["group", "check"], {"p": 3, "n": 3, "comm": [{"j": 2.7, "i": 1, "rhs": {"3": 1}}]}),
+        (["group", "check"], {"p": 3, "n": 2, "power": [{"j": 1, "rhs": {"2": True}}]}),
+        (["group", "check"], {"p": 3, "n": 2, "power": [{"j": 1, "rhs": {"2": "1"}}]}),
+        (["filtration", "validate"], _filtration_input(5)),
+        (["filtration", "validate"], _filtration_input([True, 0, 0])),
+    ],
+    ids=[
+        "deep-file", "deep-gens", "deep-kernel", "levels-list", "upper-scalar",
+        "flags-scalar", "float-index", "bool-exponent", "string-exponent",
+        "element-scalar", "element-bool",
+    ],
+)
+def test_malformed_input_exits_one(argv, data, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    code, out, err = run_cli(argv + ["--file", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["code"] == "malformed-input"
+
+
+# -- sweep worker count ------------------------------------------------------------
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def sweep3_file(tmp_path):
+    plan = {"kind": "nonapf", "p": 2, "e0": 2, "schedule": [1, 3, 5, 7]}
+    path = tmp_path / "sweep3.json"
+    path.write_text(json.dumps({"plans": [plan] * 3}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(16, 8, 3), (2, 8, 2), (3, 2, 2), (4, 1, None), (4, None, None), (1, 8, None)],
+)
+def test_sweep_worker_count(jobs, cpus, workers, sweep3_file, capsys, monkeypatch):
+    import ramify.cli
+
+    # the pool class as ramify.cli looks it up at call time
+    monkeypatch.setattr(ramify.cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(ramify.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    argv = ["plan", "run", "--file", sweep3_file]
+    code, out, _ = run_cli(argv + ["--jobs", str(jobs)], capsys)
+    assert code == 0
+    assert _RecordingPool.created == ([] if workers is None else [workers])
+    assert out == run_cli(argv, capsys)[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(jobs, sweep3_file, capsys):
+    code, out, err = run_cli(["plan", "run", "--file", sweep3_file, "--jobs", jobs], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "code": "malformed-input",
+        "error": f"--jobs must be at least 1, got {jobs}",
+    }
+
+
 # -- output plumbing ---------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from ramify import (
     tower_psi,
     tower_upper_breaks,
 )
+from ramify.ratio import require_prime
 
 # -- construction and invariants -------------------------------------------
 
@@ -163,3 +164,55 @@ def test_step_continuity_at_break(step):
     f = psi_step(i, p)
     assert f.eval(i) == i
     assert f.eval(F(i) + F(1, 7)) == i + p * F(1, 7)
+
+
+# -- tower_psi against the per-step fold ----------------------------------------
+
+
+def _fold_tower_psi(relative_breaks, p):
+    """Reference: compose one step at a time, checking monotonicity through
+    the inverse of the tower built so far."""
+    p = require_prime(p)
+    psi, last_upper = identity_func(), None
+    for t in relative_breaks:
+        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+            raise InputError(f"relative break must be a positive integer, got {t!r}")
+        upper = invert(psi).eval(F(t))
+        if last_upper is not None and upper <= last_upper:
+            raise InputError(
+                f"non-increasing filtration: upper break {upper} does not exceed {last_upper}"
+            )
+        last_upper = upper
+        psi = compose(psi_step(t, p), psi)
+    return psi
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+# schedules as a start plus increments: mostly increasing, sometimes not,
+# sometimes starting at or below zero
+schedules = st.builds(
+    lambda start, deltas: [start + sum(deltas[:k]) for k in range(len(deltas) + 1)],
+    st.integers(min_value=-1, max_value=30),
+    st.lists(st.integers(min_value=-2, max_value=40), max_size=24),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(schedules, st.just([])), st.sampled_from([2, 3, 5, 7]))
+def test_tower_psi_matches_step_fold(schedule, p):
+    assert _outcome(tower_psi, schedule, p) == _outcome(_fold_tower_psi, schedule, p)
+
+
+def test_tower_upper_breaks_recurrence_at_horizon_400():
+    schedule = range(1, 800, 2)
+    uppers = [F(1)]
+    for n in range(2, 401):
+        uppers.append(uppers[-1] + F(2, 3 ** (n - 1)))
+    assert tower_upper_breaks(schedule, 3) == tuple(uppers)
+    assert tower_psi(schedule, 3).slopes == tuple(F(3**n) for n in range(401))
