@@ -99,17 +99,12 @@ def _elements_json(elements) -> list:
     return [list(x) for x in sorted(elements)]
 
 
-def _load_group(data, cap: int) -> PcGroup:
-    pres = PcPresentation.from_json_dict(data)
-    return PcGroup(pres, cap=cap)
-
-
 def _load_filtration(data, cap: int, check: bool) -> RamFiltration:
     if not isinstance(data, dict):
         raise InputError("filtration JSON must be an object")
     if "group" not in data:
         raise InputError('filtration JSON needs a "group" presentation')
-    group = _load_group(data["group"], cap)
+    group = PcGroup(PcPresentation.from_json_dict(data["group"]), cap=cap)
     entries = data.get("ig", [])
     if not isinstance(entries, list):
         raise InputError('"ig" must be a list of {"element", "value"} objects')

@@ -78,6 +78,27 @@ class CosetGroup:
         return sorted(images)
 
 
+def _spans_itself(group, members: frozenset) -> bool:
+    """Whether ``members`` (with the identity) is closed under product: grow
+    the span from each member not yet in it, in |members| * rank products."""
+    span, gens = {group.identity()}, []
+    for x in sorted(members):
+        if x in span:
+            continue
+        gens.append(x)
+        todo = [(y, (x,)) for y in span]  # old elements still lack only x
+        while todo:
+            y, by = todo.pop()
+            for a in by:
+                z = group.product(y, a)
+                if z not in span:
+                    if z not in members:
+                        return False
+                    span.add(z)
+                    todo.append((z, gens))
+    return True
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -176,10 +197,10 @@ class RamFiltration:
             members = frozenset(
                 {x for x, val in self.ig.items() if val >= v} | {identity}
             )
-            for x in members:
-                for y in members:
-                    if g.product(x, y) not in members:
-                        return ValidationReport(False, level, (x, y), "not closed under product")
+            if not _spans_itself(g, members):  # the pairwise scan names the witness
+                x, y = next((x, y) for x in members for y in members
+                            if g.product(x, y) not in members)
+                return ValidationReport(False, level, (x, y), "not closed under product")
             for x in members:
                 for a in gens:
                     if g.product(g.product(gen_inv[a], x), a) not in members:

@@ -111,9 +111,16 @@ class PLFunc:
     def from_json_dict(cls, data: dict) -> "PLFunc":
         if not isinstance(data, dict):
             raise InputError("piecewise-linear function must be a JSON object")
+        extra = set(data) - {"breakpoints", "slopes"}
+        if extra:
+            raise InputError(f"unknown piecewise-linear function fields: {sorted(extra)}")
         try:
-            bps = [(parse_rat(x), parse_rat(y)) for x, y in data.get("breakpoints", [])]
-            slopes = [parse_rat(s) for s in data["slopes"]]
+            raw_bps, raw_slopes = data.get("breakpoints", []), data["slopes"]
+            if not (isinstance(raw_slopes, list) and isinstance(raw_bps, list)
+                    and all(isinstance(bp, list) and len(bp) == 2 for bp in raw_bps)):
+                raise TypeError("breakpoints must be a list of [x, y] and slopes a list")
+            bps = [(parse_rat(x), parse_rat(y)) for x, y in raw_bps]
+            slopes = [parse_rat(s) for s in raw_slopes]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad piecewise-linear function: {exc}") from exc
         return cls(tuple(bps), tuple(slopes))

@@ -412,11 +412,13 @@ def _filtration_input(*elements):
         (["group", "check"], {"p": 3, "n": 2, "power": [{"j": 1, "rhs": {"2": "1"}}]}),
         (["filtration", "validate"], _filtration_input(5)),
         (["filtration", "validate"], _filtration_input([True, 0, 0])),
+        (["herbrand", "eval", "--at", "1"], {"breakpoints": [["1", "1"]], "slopes": "12"}),
+        (["herbrand", "eval", "--at", "1"], {"slopes": ["1"], "junk": 1}),
     ],
     ids=[
         "deep-file", "deep-gens", "deep-kernel", "levels-list", "upper-scalar",
         "flags-scalar", "float-index", "bool-exponent", "string-exponent",
-        "element-scalar", "element-bool",
+        "element-scalar", "element-bool", "slopes-string", "pl-unknown-field",
     ],
 )
 def test_malformed_input_exits_one(argv, data, tmp_path, capsys):

@@ -11,7 +11,9 @@ from ramify import (
     PcGroup,
     PcPresentation,
     RamFiltration,
+    ValidationReport,
     build_heisenberg,
+    build_tower_truncation,
     invert,
     quotient_filtration,
 )
@@ -209,3 +211,55 @@ def test_transition_function_shape_properties(rest, bump):
     upper = rf.upper_breaks()
     assert [phi.eval(t) for t in lower] == upper
     assert [psi.eval(u) for u in upper] == lower
+
+
+def _validate_all_pairs(rf):
+    """The former validate: every product of two members of each level set."""
+    g = rf.group
+    gens = g.pc_generators()
+    gen_inv = {a: g.inverse(a) for a in gens}
+    for v in rf.distinct_values():
+        level = v - 1
+        members = frozenset({x for x, val in rf.ig.items() if val >= v} | {g.identity()})
+        for x in members:
+            for y in members:
+                if g.product(x, y) not in members:
+                    return ValidationReport(False, level, (x, y), "not closed under product")
+        for x in members:
+            for a in gens:
+                if g.product(g.product(gen_inv[a], x), a) not in members:
+                    return ValidationReport(False, level, (a, x), "not normal")
+    return ValidationReport(True)
+
+
+_ORACLE_GROUPS = [
+    PcGroup(build_heisenberg(3)),
+    PcGroup(build_tower_truncation(3, 4)),
+    PcGroup(build_heisenberg(5)),
+]
+
+
+@st.composite
+def _assignments(draw):
+    """A group and values from a chain of subgroups, some values then moved.
+
+    The chain H_1 >= H_2 >= ... is generated (or normally generated) by
+    random elements; the moved values may break closure or normality.
+    """
+    g = draw(st.sampled_from(_ORACLE_GROUPS))
+    elements = g.elements()
+    element = st.sampled_from(elements)
+    gens = draw(st.lists(element, min_size=1, max_size=3))
+    normal = draw(st.booleans())
+    chain = [g.subgroup(gens[k:], normal=normal) for k in range(len(gens))]
+    ig = {x: 1 + sum(x in h for h in chain) for x in elements if x != g.identity()}
+    for x, v in draw(st.lists(st.tuples(element, st.integers(1, 4)), max_size=3)):
+        if x != g.identity():
+            ig[x] = v
+    return RamFiltration(g, ig, check=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rf=_assignments())
+def test_validate_matches_all_pairs_oracle(rf):
+    assert rf.validate() == _validate_all_pairs(rf)

@@ -1,6 +1,8 @@
 """Unit tests for the power-commutator group engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify import (
     CapExceededError,
@@ -105,6 +107,46 @@ def test_exhaustive_flag_agrees():
     assert consistency_check(pres, exhaustive=True).ok
     bad = PcPresentation.build(2, 4, comm={(2, 1): {3: 1}, (3, 1): {4: 1}})
     assert not consistency_check(bad, exhaustive=True).ok
+
+
+@st.composite
+def _small_presentations(draw):
+    """Random pc presentations of order at most 256 over p in {2, 3, 5}."""
+    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5) for n in range(1, 9) if p**n <= 256]))
+
+    def rhs(j):  # sparse: dense random relations nearly always fail on generators
+        if j == n or draw(st.booleans()):
+            return {}
+        return dict(draw(st.lists(st.tuples(st.integers(j + 1, n), st.integers(1, p - 1)),
+                                  max_size=2)))
+
+    power = {j: rhs(j) for j in range(1, n + 1)}
+    comm = {(j, i): rhs(j) for j in range(2, n + 1) for i in range(1, j)}
+    return PcPresentation.build(p, n, power, comm)
+
+
+# a fixed example set: one consistent table at order 243 or 256 takes about 2 s,
+# and random runs can cluster a dozen of them
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pres=_small_presentations())
+def test_overlap_verdict_matches_exhaustive(pres):
+    # Light's test over the full table is the oracle for the overlap triples
+    fast = consistency_check(pres)
+    full = consistency_check(pres, exhaustive=True)
+    assert fast.ok == full.ok
+    if not full.ok:
+        assert (fast.witness, fast.detail) == (full.witness, full.detail)
+
+
+def test_group_load_builds_no_product_table():
+    g = _heis(5)
+    # the load-time check collects into the group's own cache
+    assert 0 < len(g._coll._cache) < 125**2 // 100
+    # the cap error of the retired default table remains, up to order 256 only
+    with pytest.raises(CapExceededError, match="table of 125\\^2 products"):
+        consistency_check(build_heisenberg(5), cap=100)
+    assert consistency_check(PcPresentation.build(2, 9), cap=100).ok
+    assert consistency_check(build_heisenberg(5), exhaustive=False, cap=100).ok
 
 
 # -- series, subgroups, rank ------------------------------------------------------
