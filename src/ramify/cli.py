@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -382,6 +383,7 @@ def _add_out(p) -> None:
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="ramify", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)

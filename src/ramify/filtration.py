@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError
 from .herbrand import PLFunc, _from_points, identity_func, invert
-from .pcgroup import Element, PcGroup, Subgroup
+from .pcgroup import Element, PcGroup, Subgroup, span
 from .ratio import parse_rat
 
 __all__ = [
@@ -76,27 +76,6 @@ class CosetGroup:
         images = {self.project(a) for a in self.ambient.pc_generators()}
         images.discard(self.identity())
         return sorted(images)
-
-
-def _spans_itself(group, members: frozenset) -> bool:
-    """Whether ``members`` (with the identity) is closed under product: grow
-    the span from each member not yet in it, in |members| * rank products."""
-    span, gens = {group.identity()}, []
-    for x in sorted(members):
-        if x in span:
-            continue
-        gens.append(x)
-        todo = [(y, (x,)) for y in span]  # old elements still lack only x
-        while todo:
-            y, by = todo.pop()
-            for a in by:
-                z = group.product(y, a)
-                if z not in span:
-                    if z not in members:
-                        return False
-                    span.add(z)
-                    todo.append((z, gens))
-    return True
 
 
 @dataclass(frozen=True)
@@ -178,8 +157,9 @@ class RamFiltration:
         """Elements of value >= t + 1, plus the identity."""
         t = parse_rat(t)
         members = {x for x, v in self.ig.items() if v >= t + 1}
+        gens = tuple(sorted(members))
         members.add(self.group.identity())
-        return Subgroup(self.group, frozenset(members), ())
+        return Subgroup(self.group, frozenset(members), gens)
 
     def lower_breaks(self) -> list[Fraction]:
         """Levels t where the level set properly drops just above t."""
@@ -190,21 +170,21 @@ class RamFiltration:
     def validate(self) -> ValidationReport:
         g = self.group
         identity = g.identity()
-        gens = g.pc_generators()
-        gen_inv = {a: g.inverse(a) for a in gens}
         for v in self.distinct_values():
             level = v - 1
             members = frozenset(
                 {x for x, val in self.ig.items() if val >= v} | {identity}
             )
-            if not _spans_itself(g, members):  # the pairwise scan names the witness
+            sub = span(g, sorted(members))
+            # on failure the pairwise scans name the witness
+            if sub.order != len(members):
                 x, y = next((x, y) for x in members for y in members
                             if g.product(x, y) not in members)
                 return ValidationReport(False, level, (x, y), "not closed under product")
-            for x in members:
-                for a in gens:
-                    if g.product(g.product(gen_inv[a], x), a) not in members:
-                        return ValidationReport(False, level, (a, x), "not normal")
+            if not sub.is_normal():
+                a, x = next((a, x) for x in members for a in g.pc_generators()
+                            if g.product(g.product(g.inverse(a), x), a) not in members)
+                return ValidationReport(False, level, (a, x), "not normal")
         return ValidationReport(True)
 
     # -- transition functions -----------------------------------------------

@@ -12,12 +12,16 @@ forms) is decided by the standard overlap tests on generator and power
 triples (Wamsley / Vaughan-Lee); only on request is it verified again
 against the full product table by Light's test.  All failure paths report
 an explicit witness triple.
+
+Every subgroup (closures, normal closures, both series, the Frattini
+subgroup) is grown from generators by ``span``.  Series terms and Frattini
+subgroups need p-th powers of generators only, as H/[H, G] is abelian.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, InconsistentPresentationError, InputError
@@ -27,6 +31,7 @@ __all__ = [
     "PcPresentation",
     "PcGroup",
     "Subgroup",
+    "span",
     "ConsistencyResult",
     "consistency_check",
     "build_heisenberg",
@@ -331,11 +336,11 @@ def consistency_check(
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its full element set plus the generators used."""
+    """A subgroup: its element set and ``gens`` that generate it; equal by elements."""
 
     group: "PcGroup"
     elements: frozenset
-    gens: tuple
+    gens: tuple = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -346,12 +351,57 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         g = self.group
-        for a in g.pc_generators():
-            a_inv = g.inverse(a)
-            for x in self.elements:
-                if g.product(g.product(a_inv, x), a) not in self.elements:
-                    return False
-        return True
+        return all(g.product(g.product(g.inverse(a), x), a) in self.elements
+                   for a in g.pc_generators() for x in self.gens)
+
+
+def span(
+    group, gens: Iterable[Element], conj: Iterable[Element] = (), cap: int = DEFAULT_CAP
+) -> Subgroup:
+    """The subgroup generated by ``gens``, normalized by ``conj`` if given.
+
+    Grown one generator at a time (Dimino): an element not yet spanned is
+    kept as a generator, the old span is multiplied by it alone and each
+    new element by every kept generator.  The conjugates of each kept
+    generator by each element of ``conj`` join the queue, so the result is
+    normalized by <conj>.  ``group`` is a ``PcGroup`` or a quotient with the
+    same product, inverse and identity.  More than ``cap`` elements raise.
+    """
+    conj = [(a, group.inverse(a)) for a in conj]
+    elements, kept = {group.identity()}, []
+    queue = list(gens)
+    for x in queue:  # in the given order; conjugates are appended while walking
+        if x in elements:
+            continue
+        kept.append(x)
+        todo = [(y, (x,)) for y in elements]  # old elements still lack only x
+        while todo:
+            y, by = todo.pop()
+            for a in by:
+                z = group.product(y, a)
+                if z not in elements:
+                    if len(elements) >= cap:
+                        raise CapExceededError("subgroup closure exceeds enumeration cap")
+                    elements.add(z)
+                    todo.append((z, kept))
+        queue.extend(group.product(group.product(a_inv, x), a) for a, a_inv in conj)
+    return Subgroup(group, frozenset(elements), tuple(kept))
+
+
+def _conjugates_exceed(group: "PcGroup", seed: list[Element]) -> bool:
+    """Whether the conjugates of ``seed`` alone pass the cap: which limit a
+    normal closure that passed the cap met first."""
+    pcg = [(a, group.inverse(a)) for a in group.pc_generators()]
+    seen = set(seed)
+    queue = list(seen)
+    for x in queue:
+        for c in (group.product(group.product(a_inv, x), a) for a, a_inv in pcg):
+            if c not in seen:
+                if len(seen) >= group.cap:
+                    return True
+                seen.add(c)
+                queue.append(c)
+    return False
 
 
 class PcGroup:
@@ -428,42 +478,16 @@ class PcGroup:
     # -- subgroups ---------------------------------------------------------
 
     def subgroup(self, gens: Iterable[Element], normal: bool = False) -> Subgroup:
-        """Closure of ``gens`` under products (and conjugation when ``normal``).
-
-        In a finite group the product closure of a finite set is already a
-        subgroup; with ``normal=True`` the generating set is first closed
-        under conjugation by the ambient generators, so the result is the
-        normal closure.  The stored ``gens`` always generate the element set.
-        """
+        """Subgroup generated by ``gens``; with ``normal`` its normal closure."""
         gens = [self.element(g) for g in gens]
-        seed = list(dict.fromkeys(gens))
-        if normal:
-            pcg = self.pc_generators()
-            pcg_inv = [self.inverse(a) for a in pcg]
-            seen = set(seed)
-            queue = list(seed)
-            while queue:
-                x = queue.pop()
-                for a, a_inv in zip(pcg, pcg_inv):
-                    conj = self.product(self.product(a_inv, x), a)
-                    if conj not in seen:
-                        if len(seen) >= self.cap:
-                            raise CapExceededError("normal closure exceeds enumeration cap")
-                        seen.add(conj)
-                        queue.append(conj)
-            seed = sorted(seen)
-        closure = {self.identity()}
-        queue = [self.identity()]
-        while queue:
-            x = queue.pop()
-            for g in seed:
-                y = self.product(x, g)
-                if y not in closure:
-                    if len(closure) >= self.cap:
-                        raise CapExceededError("subgroup closure exceeds enumeration cap")
-                    closure.add(y)
-                    queue.append(y)
-        return Subgroup(self, frozenset(closure), tuple(seed))
+        if not normal:
+            return span(self, gens, (), self.cap)
+        try:
+            return span(self, gens, self.pc_generators(), self.cap)
+        except CapExceededError:
+            if _conjugates_exceed(self, gens):
+                raise CapExceededError("normal closure exceeds enumeration cap") from None
+            raise
 
     def full_subgroup(self) -> Subgroup:
         return Subgroup(self, frozenset(self.elements()), tuple(self.pc_generators()))
@@ -476,48 +500,29 @@ class PcGroup:
 
     # -- series -------------------------------------------------------------
 
-    def _commutator_span(self, h: Subgroup) -> Subgroup:
-        """[H, G] as the normal closure of commutators of generators."""
-        gens = h.gens if h.gens else tuple(sorted(h.elements))
-        comms = []
-        for x in gens:
-            for a in self.pc_generators():
-                c = self.commutator(x, a)
-                if c != self.identity():
-                    comms.append(c)
-        if not comms:
-            return self.trivial_subgroup()
-        return self.subgroup(comms, normal=True)
+    def _descending_series(self, powers: bool, name: str) -> list[Subgroup]:
+        """G, then each term H followed by <[x, a] (and x^p with ``powers``)>^G
+        over the generators x of H and the pc generators a, down to 1."""
+        pcg = self.pc_generators()
+        series = [self.full_subgroup()]
+        while series[-1].order > 1:
+            current = series[-1]
+            seed = [self.commutator(x, a) for x in current.gens for a in pcg]
+            if powers:
+                seed += [self.power_p(x) for x in current.gens]
+            nxt = span(self, seed, pcg, self.cap)
+            if nxt.order >= current.order:
+                raise InconsistentPresentationError(f"{name} does not descend")
+            series.append(nxt)
+        return series
 
     def lower_central_series(self) -> list[Subgroup]:
         """G = gamma_1 >= gamma_2 = [G, G] >= ... down to the trivial subgroup."""
-        series = [self.full_subgroup()]
-        current = Subgroup(self, series[0].elements, tuple(self.pc_generators()))
-        while True:
-            nxt = self._commutator_span(current)
-            if nxt.elements == current.elements:
-                raise InconsistentPresentationError("lower central series does not descend")
-            series.append(nxt)
-            if nxt.order == 1:
-                return series
-            current = nxt
+        return self._descending_series(False, "lower central series")
 
     def lower_p_series(self) -> list[Subgroup]:
         """P_0 = G, P_{m+1} = P_m^p [P_m, G], down to the trivial subgroup."""
-        series = [self.full_subgroup()]
-        current = series[0]
-        while current.order > 1:
-            gens = [self.power_p(x) for x in current.elements]
-            for x in (current.gens if current.gens else sorted(current.elements)):
-                for a in self.pc_generators():
-                    gens.append(self.commutator(x, a))
-            gens = [g for g in gens if g != self.identity()]
-            nxt = self.subgroup(gens, normal=True) if gens else self.trivial_subgroup()
-            if nxt.order >= current.order:
-                raise InconsistentPresentationError("lower p-series does not descend")
-            series.append(nxt)
-            current = nxt
-        return series
+        return self._descending_series(True, "lower p-series")
 
     def series_equality_check(self) -> dict:
         """Compare the lower central series with the lower p-series levelwise.
@@ -528,17 +533,12 @@ class PcGroup:
         """
         gamma = self.lower_central_series()
         pser = self.lower_p_series()
-        depth = max(len(gamma), len(pser))
-        trivial = self.trivial_subgroup()
-        levels = []
-        for k in range(depth):
-            g = gamma[k] if k < len(gamma) else trivial
-            q = pser[k] if k < len(pser) else trivial
-            levels.append(
-                {"gamma_order": g.order, "p_order": q.order, "equal": g.elements == q.elements}
-            )
-        derived = gamma[1] if len(gamma) > 1 else trivial
-        gp_in_derived = all(self.power_p(x) in derived.elements for x in self.elements())
+        levels = [
+            {"gamma_order": g.order, "p_order": q.order, "equal": g == q}
+            for g, q in itertools.zip_longest(gamma, pser, fillvalue=self.trivial_subgroup())
+        ]
+        # G/[G, G] is abelian: the generators' p-th powers decide all of G^p
+        gp_in_derived = all(self.power_p(a) in gamma[1] for a in self.pc_generators())
         return {
             "levels": levels,
             "all_equal": all(level["equal"] for level in levels),
@@ -550,32 +550,13 @@ class PcGroup:
     # -- invariants of subgroups ---------------------------------------------
 
     def frattini_subgroup(self, h: Subgroup) -> Subgroup:
-        """H^p [H, H]: p-th powers of every element plus the commutator span."""
-        if h.order == 1:
-            return self.trivial_subgroup()
-        hgens = h.gens if h.gens else tuple(sorted(h.elements))
-        gens = {self.power_p(x) for x in h.elements}
-        gens.update(self.commutator(x, a) for x in h.elements for a in hgens)
-        gens.discard(self.identity())
-        if not gens:
-            return self.trivial_subgroup()
-        # close under conjugation inside H so the span is normal in H
-        seen = set(gens)
-        queue = list(gens)
-        h_inv = {a: self.inverse(a) for a in hgens}
-        while queue:
-            x = queue.pop()
-            for a in hgens:
-                conj = self.product(self.product(h_inv[a], x), a)
-                if conj not in seen:
-                    seen.add(conj)
-                    queue.append(conj)
-        return self.subgroup(sorted(seen))
+        """H^p [H, H]: the normal closure in H of x^p and [x, y] over its generators."""
+        seed = [self.power_p(x) for x in h.gens]
+        seed += [self.commutator(x, y) for x in h.gens for y in h.gens]
+        return span(self, seed, h.gens, self.cap)
 
     def min_generators(self, h: Subgroup) -> int:
         """Minimal size of a generating set: dim of H modulo H^p [H, H]."""
-        if h.order == 1:
-            return 0
         phi = self.frattini_subgroup(h)
         quot = h.order // phi.order
         dim = 0
@@ -589,14 +570,8 @@ class PcGroup:
     def element_length(self, x: Element) -> int:
         """Largest k with x in gamma_k; the identity gets class + 1 as sentinel."""
         x = self.element(x)
-        series = self.lower_central_series()
-        if x == self.identity():
-            return len(series)  # nilpotency class + 1
-        best = 0
-        for k, term in enumerate(series, start=1):
-            if x in term.elements:
-                best = k
-        return best
+        # the series descends, so x lies in exactly its first k terms
+        return sum(x in term for term in self.lower_central_series())
 
     # -- probes ----------------------------------------------------------------
 

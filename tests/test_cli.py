@@ -1,8 +1,13 @@
 """End-to-end tests for the command line: schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 from ramify import build_heisenberg, build_tower_truncation, psi_step
 from ramify.cli import main
@@ -506,3 +511,140 @@ def test_repeated_runs_identical(filt_file, capsys):
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
     assert first == second
+
+
+def test_parser_built_once_and_reusable(heis3_file, capsys):
+    from ramify.cli import build_parser
+
+    argv = ["group", "closure", "--file", heis3_file, "--gens", "[[0,1,0]]", "--normal"]
+    first = run_cli(argv, capsys)
+    code, out, err = run_cli(["group", "closure", "--file", heis3_file], capsys)
+    assert (code, out, json.loads(err)["code"]) == (1, "", "malformed-input")
+    assert run_cli(argv, capsys) == first
+    assert first[0] == 0
+    assert build_parser() is build_parser()
+
+
+# -- schema fuzzing ------------------------------------------------------------------
+
+_GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+# one valid input per subcommand that reads --file, with the flags it needs
+_FUZZ_CASES = {
+    "herbrand-compose": (["herbrand", "compose"], "compose.json"),
+    "herbrand-invert": (["herbrand", "invert", "--eval", "2"], "tower.json"),
+    "herbrand-eval": (["herbrand", "eval", "--at", "7/2"], "tower.json"),
+    "group-check": (["group", "check", "--series"], "trunc34.json"),
+    "group-closure": (["group", "closure", "--gens", "[[0,1,0,0]]", "--normal"], "trunc34.json"),
+    "group-series": (["group", "series"], "heis3.json"),
+    "group-rank": (["group", "rank", "--k", "1"], "trunc34.json"),
+    "group-probe": (["group", "probe"], "trunc34.json"),
+    "filtration-validate": (["filtration", "validate"], "filt_levels.json"),
+    "filtration-herbrand": (["filtration", "herbrand"], "filt_levels.json"),
+    "filtration-upper": (["filtration", "upper", "--at", "3/2"], "filt_levels.json"),
+    "filtration-quotient": (["filtration", "quotient", "--kernel", "[[0,0,1]]"], "filt_levels.json"),
+    "plan-run": (["plan", "run"], "plan_apf_scaled.json"),
+    "plan-sweep": (["plan", "run", "--format", "json"], "sweep.json"),
+    "merge-max": (["merge", "max"], "merge_max.json"),
+    "merge-repair": (["merge", "repair"], "merge_repair.json"),
+}
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 10), st.floats(allow_nan=False, width=16),
+    st.sampled_from(["", "1", "-1", "2/3", "1/0", "x", "1e3", "  3 "]), st.text(max_size=4),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            yield from _paths(value, path + (idx,))
+
+
+_rationals = st.sampled_from(["0", "1", "2", "3", "5", "-1", "1/2", "7/3", "10", "1/0"])
+
+
+def _like(value):
+    """Values of the same JSON kind, so a mutation can get past the schema."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-2, 10)
+    if isinstance(value, str):
+        return _rationals
+    if isinstance(value, list):
+        return st.sampled_from([value[::-1], value + value[-1:], value[1:]])
+    return _json_values
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one node replaced, tweaked, deleted, or given an extra entry."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(_json_values)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    op = draw(st.sampled_from(["replace", "tweak", "tweak", "delete", "insert"]))
+    if op == "replace":
+        parent[path[-1]] = draw(_json_values)
+    elif op == "tweak":
+        parent[path[-1]] = draw(_like(parent[path[-1]]))
+    elif op == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[draw(st.text(max_size=3))] = draw(_json_values)
+    else:
+        parent.insert(path[-1], draw(_json_values))
+    return doc
+
+
+def _group_sizes(node):
+    """Every generator count ``n`` anywhere in the document."""
+    if isinstance(node, dict):
+        if isinstance(node.get("n"), int):
+            yield node["n"]
+        for value in node.values():
+            yield from _group_sizes(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _group_sizes(value)
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_CASES))
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_inputs_exit_with_json_errors(name, data, tmp_path, monkeypatch):
+    argv, source = _FUZZ_CASES[name]
+    doc = data.draw(_mutated(json.loads((_GOLDEN_INPUTS / source).read_text())))
+    assume(all(n <= 4 for n in _group_sizes(doc)))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("RAMIFY_CAP", "300")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--file", str(path)])
+    event(f"exit {code}")
+    assert code in range(5)
+    if code == 0:
+        assert err.getvalue() == ""
+    elif argv[:2] == ["group", "check"] and code == 3 and err.getvalue() == "":
+        # the consistency verdict itself is the output of group check
+        assert json.loads(out.getvalue())["consistent"] is False
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"code", "error"}

@@ -1,7 +1,7 @@
 """Unit tests for the power-commutator group engine."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramify import (
@@ -271,3 +271,139 @@ def test_abelianization_map_is_onto():
         assert g.min_generators(g.full_subgroup()) == 2
         images = {(x[0] % p, x[1] % p) for x in g.elements()}
         assert len(images) == p * p
+
+
+# -- subgroups grown from generators against the element-set algorithms ---------
+
+
+def test_subgroup_equality_by_elements():
+    g = _heis(3)
+    a1, a2, a3 = g.generator(1), g.generator(2), g.generator(3)
+    assert g.subgroup([a1, a2]) == g.subgroup([a2, a1])
+    assert g.normal_closure([a2]) == g.subgroup([a2, a3])
+    assert g.subgroup([a1]) != g.subgroup([a2])
+
+
+def _ref_closure(g, seed):
+    """Product BFS over every element of the seed."""
+    closure, queue = {g.identity()}, [g.identity()]
+    while queue:
+        x = queue.pop()
+        for s in seed:
+            y = g.product(x, s)
+            if y not in closure:
+                closure.add(y)
+                queue.append(y)
+    return frozenset(closure)
+
+
+def _ref_conjugates(g, seed, by):
+    """Close ``seed`` under conjugation by ``by`` (a BFS over elements)."""
+    seen, queue = set(seed), list(seed)
+    while queue:
+        x = queue.pop()
+        for a in by:
+            c = g.product(g.product(g.inverse(a), x), a)
+            if c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return sorted(seen)
+
+
+def _ref_normal_closure(g, seed):
+    return _ref_closure(g, _ref_conjugates(g, seed, g.pc_generators()))
+
+
+def _ref_series(g, powers):
+    """[H, G] (times H^p) from every element x of H: <[x, a], x^p>^G."""
+    series = [frozenset(g.elements())]
+    while len(series[-1]) > 1:
+        h = sorted(series[-1])
+        seed = [g.commutator(x, a) for x in h for a in g.pc_generators()]
+        if powers:
+            seed += [g.power_p(x) for x in h]
+        series.append(_ref_normal_closure(g, seed))
+    return series
+
+
+def _ref_series_report(g):
+    gamma, pser = _ref_series(g, False), _ref_series(g, True)
+    depth = max(len(gamma), len(pser))
+    trivial = [frozenset({g.identity()})]
+    levels = [{"gamma_order": len(c), "p_order": len(q), "equal": c == q}
+              for c, q in zip(gamma + trivial * (depth - len(gamma)),
+                              pser + trivial * (depth - len(pser)))]
+    return {
+        "levels": levels,
+        "all_equal": all(level["equal"] for level in levels),
+        "gp_in_derived": all(g.power_p(x) in gamma[1] for x in g.elements()),
+        "gamma_orders": [len(s) for s in gamma],
+        "p_orders": [len(s) for s in pser],
+    }
+
+
+def _ref_frattini(g, h, hgens):
+    """H^p [H, H] from p-th powers and commutators of every element of H."""
+    seed = {g.power_p(x) for x in h} | {g.commutator(x, a) for x in h for a in hgens}
+    return _ref_closure(g, _ref_conjugates(g, seed, hgens))
+
+
+def _ref_is_normal(g, h):
+    return all(g.product(g.product(g.inverse(a), x), a) in h
+               for a in g.pc_generators() for x in h)
+
+
+@st.composite
+def _consistent_groups_with_gens(draw):
+    """A consistent group of order at most 243 and 0-3 random elements."""
+    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5) for n in range(1, 8) if p**n <= 243]))
+
+    def rhs(j):
+        if j == n or draw(st.booleans()):
+            return {}
+        return dict(draw(st.lists(st.tuples(st.integers(j + 1, n), st.integers(1, p - 1)),
+                                  max_size=2)))
+
+    power = {j: rhs(j) for j in range(1, n + 1)}
+    comm = {(j, i): rhs(j) for j in range(2, n + 1) for i in range(1, j)}
+    pres = PcPresentation.build(p, n, power, comm)
+    assume(consistency_check(pres).ok)
+    element = st.tuples(*[st.integers(0, p - 1)] * n)
+    return PcGroup(pres), draw(st.lists(element, max_size=3)), draw(st.booleans())
+
+
+# class 3: the Frattini subgroup of <a_1, a_2> needs the conjugates of [a_2, a_1]
+@example(case=(PcGroup(build_tower_truncation(3, 4)), [(1, 0, 0, 0), (0, 1, 0, 0)], False))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_consistent_groups_with_gens())
+def test_span_matches_element_set_algorithms(case):
+    g, gens, normal = case
+    sub = g.subgroup(gens, normal=normal)
+    ref = _ref_normal_closure(g, gens) if normal else _ref_closure(g, gens)
+    assert sub.elements == ref
+    assert sub.is_normal() == _ref_is_normal(g, ref)
+    phi = _ref_frattini(g, ref, sorted(ref))
+    assert g.frattini_subgroup(sub).elements == phi
+    quotient, dim = len(ref) // len(phi), 0
+    while quotient > 1:
+        quotient //= g.p
+        dim += 1
+    assert g.min_generators(sub) == dim
+    assert g.series_equality_check() == _ref_series_report(g)
+
+
+def _class2_order_3_8():
+    """Four top generators, [a_j, a_i] cycling over the four central ones."""
+    pairs = [(j, i) for j in range(2, 5) for i in range(1, j)]
+    return PcGroup(PcPresentation.build(3, 8, comm={
+        pair: {5 + idx % 4: 1} for idx, pair in enumerate(pairs)
+    }))
+
+
+def test_series_collect_from_generators_only():
+    g = _class2_order_3_8()
+    before = len(g._coll._cache)
+    rep = g.series_equality_check()
+    assert rep["gamma_orders"] == rep["p_orders"] == [3**8, 3**4, 1]
+    # the element-set series collected 13,835 products here, more than |G|
+    assert len(g._coll._cache) - before < g.order
