@@ -10,7 +10,6 @@ overrides the group enumeration cap.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -22,21 +21,37 @@ from .errors import (
     InfeasiblePlanError,
     InputError,
 )
-from .filtration import RamFiltration, quotient_filtration
-from .herbrand import PLFunc, compose, invert, psi_step
-from .pcgroup import DEFAULT_CAP, PcGroup, PcPresentation, consistency_check
-from .planner import (
-    BreakSequence,
-    TowerPlan,
-    compositum_merge,
-    cyclic_break_admissible,
-    evaluate_plan,
-    break_triple_feasible,
-    repair_merge,
-)
 from .ratio import format_rat, is_int, parse_rat
 
 __all__ = ["main"]
+
+# The layer names each command family calls.  Importing this module loads no
+# layer: main binds a family's names on its first command, through the lazy
+# package namespace, which knows each name's home module.
+_FAMILY_NAMES = {
+    "herbrand": ("PLFunc", "compose", "invert", "psi_step"),
+    "group": ("DEFAULT_CAP", "PcGroup", "PcPresentation", "consistency_check"),
+    "filtration": ("DEFAULT_CAP", "PcGroup", "PcPresentation", "RamFiltration",
+                   "quotient_filtration"),
+    "plan": ("TowerPlan", "break_triple_feasible", "cyclic_break_admissible", "evaluate_plan"),
+    "merge": ("BreakSequence", "compositum_merge", "repair_merge"),
+}
+_LAYER_NAMES = {name for names in _FAMILY_NAMES.values() for name in names}
+
+
+def __getattr__(name: str):
+    """Resolve a layer name on first access and keep it bound here (PEP 562)."""
+    if name not in _LAYER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _bind(command: str) -> None:
+    """Bind the names ``command`` calls, keeping any already set here (a patch, a wrapper)."""
+    for name in _FAMILY_NAMES[command]:
+        if name not in globals():
+            __getattr__(name)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -302,6 +317,7 @@ def _cmd_filtration(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _evaluate_plan_dict(data) -> BreakSequence:
+    _bind("plan")  # a spawned pool worker starts from a bare import of this module
     return evaluate_plan(TowerPlan.from_json_dict(data))
 
 
@@ -331,6 +347,8 @@ def _cmd_plan(args) -> int:
         # for more than there are plans or CPUs
         workers = min(args.jobs, len(plan_dicts), os.cpu_count() or 1)
         if workers > 1:
+            import concurrent.futures
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 seqs = list(pool.map(_evaluate_plan_dict, plan_dicts))
         else:
@@ -493,6 +511,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _bind(args.command)
         return _DISPATCH[args.command](args)
     except InputError as exc:
         return _fail("malformed-input", exc, 1)

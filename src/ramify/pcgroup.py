@@ -145,25 +145,32 @@ class PcPresentation:
         extra = set(data) - {"p", "n", "power", "comm"}
         if extra:
             raise InputError(f"unknown presentation fields: {sorted(extra)}")
+        for key in ("p", "n"):
+            if key not in data:
+                raise InputError(f'bad presentation: top level lacks "{key}"')
         try:
             p, n = data["p"], data["n"]
             # object keys are strings; exponents are checked by _clean_rhs
             power = {
-                _index(row["j"]): {int(k): e for k, e in row.get("rhs", {}).items()}
-                for row in data.get("power", [])
+                _index(row, "j", f"power[{r}]"): {int(k): e for k, e in row.get("rhs", {}).items()}
+                for r, row in enumerate(data.get("power", []))
             }
             comm = {
-                (_index(row["j"]), _index(row["i"])): {
+                (_index(row, "j", f"comm[{r}]"), _index(row, "i", f"comm[{r}]")): {
                     int(k): e for k, e in row.get("rhs", {}).items()
                 }
-                for row in data.get("comm", [])
+                for r, row in enumerate(data.get("comm", []))
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad presentation: {exc}") from exc
         return cls.build(p, n, power, comm)
 
 
-def _index(value) -> int:
+def _index(row, key: str, where: str) -> int:
+    try:
+        value = row[key]
+    except KeyError:
+        raise InputError(f'{where} lacks "{key}"') from None
     if not is_int(value):
         raise InputError(f"generator index must be an integer, got {value!r}")
     return value

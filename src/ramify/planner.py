@@ -534,7 +534,8 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
             )
     if verdict_val == VERDICT_UNDETERMINED and len(diffs) >= 2:
         ratios = [Fraction(diffs[k + 1], 1) / diffs[k] for k in range(len(diffs) - 1)]
-        r = max(ratios)
+        # never below 1/p, the ratio of the continuation that repeats the last difference
+        r = max(ratios + [Fraction(1, p)])
         if r < 1:
             verdict_val = VERDICT_NON_APF
             bound = upper[-1] + diffs[-1] * r / (1 - r)

@@ -1,14 +1,19 @@
 """End-to-end tests for the command line: schemas, exit codes, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+import ramify
 from ramify import build_heisenberg, build_tower_truncation, psi_step
 from ramify.cli import main
 
@@ -471,8 +476,8 @@ def sweep3_file(tmp_path):
 def test_sweep_worker_count(jobs, cpus, workers, sweep3_file, capsys, monkeypatch):
     import ramify.cli
 
-    # the pool class as ramify.cli looks it up at call time
-    monkeypatch.setattr(ramify.cli.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    # the pool class where the deferred import in the sweep branch looks it up
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(ramify.cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "created", [])
     argv = ["plan", "run", "--file", sweep3_file]
@@ -648,3 +653,138 @@ def test_mutated_inputs_exit_with_json_errors(name, data, tmp_path, monkeypatch)
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"code", "error"}
+
+
+# -- start-up: each command family loads its own layer -------------------------------
+
+# the directory holding the ramify this process imported, as criterion 12 passes it
+_SRC = str(Path(ramify.__file__).resolve().parent.parent)
+_LAYERS = {"ramify.herbrand", "ramify.pcgroup", "ramify.filtration", "ramify.planner"}
+_NOT_AT_START = {"dataclasses", "concurrent.futures"}
+
+
+def _fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on the same ramify."""
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = _SRC + os.pathsep + inherited if inherited else _SRC
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _loaded_by(code: str) -> set:
+    """Modules that ``code`` adds to sys.modules in a fresh interpreter."""
+    wrapped = ("import json, sys; _before = set(sys.modules)\n" + code
+               + "\nprint(json.dumps(sorted(set(sys.modules) - _before)))")
+    return set(json.loads(_fresh(wrapped).splitlines()[-1]))
+
+
+def test_bare_import_loads_no_layer():
+    loaded = _loaded_by("import ramify.cli")
+    assert "ramify.cli" in loaded
+    assert not loaded & (_LAYERS | _NOT_AT_START)
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["herbrand", "step", "--break", "1", "--p", "2"], {"ramify.herbrand"}),
+        (["group", "check", "--file", "heis3.json"], {"ramify.pcgroup"}),
+        (["filtration", "validate", "--file", "filt_levels.json"],
+         {"ramify.pcgroup", "ramify.filtration", "ramify.herbrand"}),
+        (["plan", "run", "--file", "sweep.json", "--jobs", "1"],
+         {"ramify.planner", "ramify.herbrand"}),
+        (["merge", "max", "--file", "merge_max.json"], {"ramify.planner", "ramify.herbrand"}),
+    ],
+    ids=["herbrand", "group", "filtration", "plan", "merge"],
+)
+def test_each_family_loads_only_its_layers(argv, layers):
+    argv = [str(_GOLDEN_INPUTS / a) if a.endswith(".json") else a for a in argv]
+    loaded = _loaded_by(f"import ramify.cli\nassert ramify.cli.main({argv!r}) == 0")
+    assert loaded & _LAYERS == layers
+    assert "concurrent.futures" not in loaded
+
+
+# every name bench/spans.py wraps on ramify.cli, by home module
+_PATCHED_ON_CLI = {
+    "cli": ("main",),
+    "ratio": ("format_rat", "parse_rat"),
+    "herbrand": ("psi_step", "compose", "invert"),
+    "planner": ("evaluate_plan", "compositum_merge", "repair_merge", "break_triple_feasible",
+                "cyclic_break_admissible"),
+    "pcgroup": ("consistency_check",),
+    "filtration": ("quotient_filtration",),
+}
+
+
+def test_patched_names_resolve_after_bare_import():
+    checks = [f"ramify.cli.{name} is ramify.{module}.{name}"
+              for module, names in _PATCHED_ON_CLI.items() for name in names]
+    code = ("import ramify.cli\nfrom ramify import cli, ratio, herbrand, planner, pcgroup, "
+            "filtration\nprint(all([" + ", ".join(checks) + "]))")
+    assert _fresh(code) == "True\n"
+
+
+def test_patch_set_before_first_job_is_called():
+    code = f"""
+import ramify.cli as cli
+from ramify.pcgroup import consistency_check
+from ramify.planner import evaluate_plan
+
+calls = []
+
+def recorder(fn):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+cli.evaluate_plan = recorder(evaluate_plan)
+cli.consistency_check = recorder(consistency_check)
+assert cli.main(["plan", "run", "--file", {str(_GOLDEN_INPUTS / "sweep.json")!r}]) == 0
+assert cli.main(["group", "check", "--file", {str(_GOLDEN_INPUTS / "heis3.json")!r}]) == 0
+print(calls)
+"""
+    calls = _fresh(code).splitlines()[-1]
+    assert calls.count("evaluate_plan") == len(
+        json.loads((_GOLDEN_INPUTS / "sweep.json").read_text())["plans"])
+    assert calls.endswith("'consistency_check']")
+
+
+def test_package_namespace_is_lazy_and_complete():
+    expected = {
+        "errors": ["RamifyError", "InputError", "InfeasiblePlanError",
+                   "InconsistentPresentationError", "CapExceededError"],
+        "ratio": ["format_rat", "parse_rat", "is_prime"],
+        "herbrand": ["PLFunc", "identity_func", "psi_step", "compose", "invert", "tower_psi",
+                     "tower_upper_breaks"],
+        "pcgroup": ["PcPresentation", "PcGroup", "Subgroup", "ConsistencyResult",
+                    "consistency_check", "build_heisenberg", "build_tower_truncation",
+                    "shipped_truncations", "DEFAULT_CAP"],
+        "filtration": ["RamFiltration", "CosetGroup", "ValidationReport", "quotient_filtration"],
+        "planner": ["TowerPlan", "BreakSequence", "FeasibilityResult", "ClosedFormReport",
+                    "cyclic_break_admissible", "break_triple_feasible", "apf_plan",
+                    "closed_form_check", "nonapf_plan", "evaluate_plan", "compositum_merge",
+                    "repair_merge", "verdict"],
+    }
+    assert ramify.__all__ == ["__version__"] + [n for names in expected.values() for n in names]
+    for module, names in expected.items():
+        home = importlib.import_module(f"ramify.{module}")
+        for name in names:
+            assert getattr(ramify, name) is getattr(home, name)
+    with pytest.raises(AttributeError):
+        ramify.no_such_name
+    assert not {m for m in _loaded_by("import ramify") if m.startswith("ramify.")}
+
+
+def test_sweep_runs_in_spawned_workers(capsys):
+    # a spawned worker starts from a bare import of ramify.cli; two CPUs even on
+    # a one-CPU runner, and the pool module loaded shows the pool branch ran
+    argv = ["plan", "run", "--file", str(_GOLDEN_INPUTS / "sweep.json"), "--jobs", "2"]
+    code = ("import multiprocessing, os, sys\nmultiprocessing.set_start_method('spawn')\n"
+            "os.cpu_count = lambda: 2\n"
+            f"import ramify.cli\nassert ramify.cli.main({argv!r}) == 0\n"
+            "assert 'concurrent.futures' in sys.modules")
+    assert _fresh(code) == run_cli(argv[:-2], capsys)[1]

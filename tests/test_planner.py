@@ -20,6 +20,7 @@ from ramify import (
     break_triple_feasible,
     nonapf_plan,
     repair_merge,
+    tower_upper_breaks,
     verdict,
 )
 
@@ -193,6 +194,22 @@ def test_nonapf_odd_schedule():
     assert seq.upper == tuple(F(3) - F(2) ** (2 - n) for n in range(1, 21))
     assert seq.verdict == "non-APF"
     assert seq.limit_bound == F(3)
+
+
+@pytest.mark.parametrize(
+    "p, e0, sched, bound",
+    [(2, 8, (1, 11, 15, 17), F(15, 2)), (3, 10, (1, 14, 20, 23), F(37, 6))],
+)
+def test_nonapf_bound_is_limit_of_repeating_the_last_difference(p, e0, sched, bound):
+    # every increment ratio of these prefixes is below 1/p
+    seq = nonapf_plan(TowerPlan("nonapf", p, e0, schedule=sched))
+    assert seq.verdict == "non-APF" and seq.limit_bound == bound
+    last_diff = seq.upper[-1] - seq.upper[-2]
+    step = sched[-1] - sched[-2]
+    for extra in range(1, 10):
+        longer = sched + tuple(sched[-1] + step * k for k in range(1, extra + 1))
+        # the tail beyond level N + extra sums to last_diff / (p^extra (p - 1))
+        assert bound - tower_upper_breaks(longer, p)[-1] == last_diff / (p**extra * (p - 1))
 
 
 def test_custom_doubling_schedule():
