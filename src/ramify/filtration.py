@@ -13,6 +13,7 @@ from its own transition function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -30,7 +31,9 @@ __all__ = [
 ]
 
 class CosetGroup:
-    """Quotient G/H on canonical coset representatives (minimal exponent tuple)."""
+    """Quotient G/N on canonical coset representatives: the least element of
+    each coset, the one with zeros at N's leading depths, which ``N.sift``
+    clears."""
 
     def __init__(self, group: PcGroup, kernel: Subgroup):
         if kernel.group is not group:
@@ -39,38 +42,31 @@ class CosetGroup:
             raise InputError("kernel must be a normal subgroup")
         self.ambient = group
         self.kernel = kernel
-        rep_of: dict[Element, Element] = {}
-        reps: list[Element] = []
-        kernel_sorted = sorted(kernel.elements)
-        for x in group.elements():
-            if x in rep_of:
-                continue
-            coset = sorted(group.product(x, h) for h in kernel_sorted)
-            rep = coset[0]
-            reps.append(rep)
-            for y in coset:
-                rep_of[y] = rep
-        self._rep_of = rep_of
-        self._reps = sorted(reps)
+        self.p = group.p
 
     @property
     def order(self) -> int:
-        return len(self._reps)
+        return self.ambient.order // self.kernel.order
 
     def elements(self) -> list[Element]:
-        return list(self._reps)
+        """The representatives in increasing order: exponent 0 at the
+        kernel's depths, anything at the others."""
+        self.ambient.elements()  # the ambient group's cap bounds every quotient
+        depths = set(self.kernel.depths)
+        return list(itertools.product(
+            *[range(1) if d in depths else range(self.p) for d in range(self.ambient.pres.n)]))
 
     def identity(self) -> Element:
         return self.ambient.identity()
 
     def project(self, x: Element) -> Element:
-        return self._rep_of[x]
+        return self.kernel.sift(x)
 
     def product(self, x: Element, y: Element) -> Element:
-        return self._rep_of[self.ambient.product(x, y)]
+        return self.project(self.ambient.product(x, y))
 
     def inverse(self, x: Element) -> Element:
-        return self._rep_of[self.ambient.inverse(x)]
+        return self.project(self.ambient.inverse(x))
 
     def pc_generators(self) -> list[Element]:
         images = {self.project(a) for a in self.ambient.pc_generators()}
@@ -157,9 +153,8 @@ class RamFiltration:
         """Elements of value >= t + 1, plus the identity."""
         t = parse_rat(t)
         members = {x for x, v in self.ig.items() if v >= t + 1}
-        gens = tuple(sorted(members))
         members.add(self.group.identity())
-        return Subgroup(self.group, frozenset(members), gens)
+        return Subgroup.from_elements(self.group, frozenset(members))
 
     def lower_breaks(self) -> list[Fraction]:
         """Levels t where the level set properly drops just above t."""

@@ -14,14 +14,17 @@ against the full product table by Light's test.  All failure paths report
 an explicit witness triple.
 
 Every subgroup (closures, normal closures, both series, the Frattini
-subgroup) is grown from generators by ``span``.  Series terms and Frattini
+subgroup) is grown from generators by ``span`` as an induced polycyclic
+generating sequence (Holt, Eick and O'Brien, ch. 8): at most n rows, so
+order, membership and equality cost polynomially many products, and the
+element set is enumerated only when asked for.  Series terms and Frattini
 subgroups need p-th powers of generators only, as H/[H, G] is abelian.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, InconsistentPresentationError, InputError
@@ -150,20 +153,40 @@ class PcPresentation:
                 raise InputError(f'bad presentation: top level lacks "{key}"')
         try:
             p, n = data["p"], data["n"]
-            # object keys are strings; exponents are checked by _clean_rhs
-            power = {
-                _index(row, "j", f"power[{r}]"): {int(k): e for k, e in row.get("rhs", {}).items()}
-                for r, row in enumerate(data.get("power", []))
-            }
+            power = {_index(row, "j", where): _rhs(row, where) for where, row in _rows(data, "power")}
             comm = {
-                (_index(row, "j", f"comm[{r}]"), _index(row, "i", f"comm[{r}]")): {
-                    int(k): e for k, e in row.get("rhs", {}).items()
-                }
-                for r, row in enumerate(data.get("comm", []))
+                (_index(row, "j", where), _index(row, "i", where)): _rhs(row, where)
+                for where, row in _rows(data, "comm")
             }
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except InputError as exc:
             raise InputError(f"bad presentation: {exc}") from exc
         return cls.build(p, n, power, comm)
+
+
+def _rows(data: dict, key: str) -> Iterable[tuple[str, dict]]:
+    """("key[r]", row) for each row of the relation list ``key``."""
+    rows = data.get(key, [])
+    if not isinstance(rows, list):
+        raise InputError(f'"{key}" must be a list of rows')
+    for r, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise InputError(f"{key}[{r}] must be an object")
+        yield f"{key}[{r}]", row
+
+
+def _rhs(row: dict, where: str) -> dict:
+    """The row's exponent map keyed by generator index; object keys are
+    strings, and the exponents are checked by _clean_rhs."""
+    rhs = row.get("rhs", {})
+    if not isinstance(rhs, dict):
+        raise InputError(f'{where} "rhs" must be an object')
+    out = {}
+    for k, e in rhs.items():
+        try:
+            out[int(k)] = e
+        except (TypeError, ValueError):
+            raise InputError(f'{where} "rhs" key {k!r} is not a generator index') from None
+    return out
 
 
 def _index(row, key: str, where: str) -> int:
@@ -341,25 +364,109 @@ def consistency_check(
     return ConsistencyResult(True, None, "consistent")
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup: its element set and ``gens`` that generate it; equal by elements."""
+def _depth(x: Element) -> int:
+    """Index of the first nonzero exponent of x; len(x) for the identity."""
+    return next((d for d, e in enumerate(x) if e), len(x))
 
-    group: "PcGroup"
-    elements: frozenset
-    gens: tuple = field(compare=False)
+
+def _powers(group, x: Element, count: int) -> list[Element]:
+    """[1, x, x^2, ..., x^(count - 1)] for count >= 2."""
+    out = [group.identity(), x]
+    while len(out) < count:
+        out.append(group.product(out[-1], x))
+    return out
+
+
+class Subgroup:
+    """A subgroup H held by an induced pcgs.
+
+    The rows are elements of H, one for each depth (index of the first
+    nonzero exponent) at which H has an element, scaled to leading exponent
+    1.  Each element of H is r_1^e_1 ... r_m^e_m, rows in increasing depth
+    and 0 <= e < p, in exactly one way, so |H| = p^m.  ``sift`` clears x
+    at the rows' depths by right multiplication with powers of the rows, so
+    x is in H iff it sifts to the identity.  Subgroups of one group are
+    equal iff their canonical rows (each sifted at the other rows' depths)
+    agree.  ``elements`` enumerates H on first use only.
+
+    ``group`` is a ``PcGroup`` or a quotient with the same operations whose
+    elements have the same depth and additive leading exponent.
+    """
+
+    def __init__(self, group, powers: list, elements: frozenset | None = None):
+        self.group = group
+        # by depth: None, or [1, r, ..., r^(p-1)] for the row r of that depth
+        self._powers = powers
+        self._elements = elements
+        self._canonical: tuple | None = None
+
+    @classmethod
+    def from_elements(cls, group, elements: frozenset) -> "Subgroup":
+        """The subgroup whose element set is already known (it must be
+        closed): a member of leading exponent 1 at each depth is a row."""
+        powers = [None] * len(group.identity())
+        for x in elements:
+            d = _depth(x)
+            if d < len(x) and x[d] == 1 and powers[d] is None:
+                powers[d] = _powers(group, x, group.p)
+        return cls(group, powers, elements)
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(pw[1] for pw in self._powers if pw)
+
+    @property
+    def depths(self) -> tuple:
+        return tuple(d for d, pw in enumerate(self._powers) if pw)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.group.p ** len(self.rows)
+
+    def sift(self, x: Element, start: int = 0) -> Element:
+        """x times powers of the rows at depths >= ``start``, in increasing
+        depth, so that x has zeros there.  The leading exponent is additive,
+        so each step clears its depth and leaves the earlier ones."""
+        p = self.group.p
+        for d in range(start, len(x)):
+            if x[d] and self._powers[d]:
+                x = self.group.product(x, self._powers[d][p - x[d]])
+        return x
 
     def __contains__(self, x) -> bool:
-        return x in self.elements
+        # a non-identity element of H is nonzero at its depth, a row depth
+        return not any(self.sift(x))
+
+    def canonical_rows(self) -> tuple:
+        """The rows sifted at the other rows' depths: the same for every
+        induced pcgs of H."""
+        if self._canonical is None:
+            self._canonical = tuple(self.sift(r, _depth(r) + 1) for r in self.rows)
+        return self._canonical
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return (self.group is other.group and len(self.rows) == len(other.rows)
+                and self.canonical_rows() == other.canonical_rows())
+
+    def __hash__(self) -> int:
+        return hash(self.canonical_rows())
+
+    @property
+    def elements(self) -> frozenset:
+        if self._elements is None:
+            words = [self.group.identity()]
+            for pw in reversed(self._powers):
+                if pw:
+                    words += [self.group.product(r, w) for r in pw[1:] for w in words]
+            self._elements = frozenset(words)
+        return self._elements
 
     def is_normal(self) -> bool:
         g = self.group
-        return all(g.product(g.product(g.inverse(a), x), a) in self.elements
-                   for a in g.pc_generators() for x in self.gens)
+        return all(g.product(g.product(g.inverse(a), x), a) in self
+                   for a in g.pc_generators() for x in self.rows)
 
 
 def span(
@@ -367,32 +474,33 @@ def span(
 ) -> Subgroup:
     """The subgroup generated by ``gens``, normalized by ``conj`` if given.
 
-    Grown one generator at a time (Dimino): an element not yet spanned is
-    kept as a generator, the old span is multiplied by it alone and each
-    new element by every kept generator.  The conjugates of each kept
-    generator by each element of ``conj`` join the queue, so the result is
-    normalized by <conj>.  ``group`` is a ``PcGroup`` or a quotient with the
-    same product, inverse and identity.  More than ``cap`` elements raise.
+    Each queued element is sifted through the rows found so far; a remainder
+    other than the identity becomes a new row, scaled to leading exponent
+    1.  Its p-th power, its commutators with the earlier rows and its
+    conjugates by ``conj`` join the queue.  Once the queue is empty all of
+    those sift to the identity, so the rows' normal words are closed under
+    products (an induced pcgs) and normalized by <conj>.  A subgroup of
+    order above ``cap`` raises.
     """
-    conj = [(a, group.inverse(a)) for a in conj]
-    elements, kept = {group.identity()}, []
+    p, identity = group.p, group.identity()
+    prod, inv = group.product, group.inverse
+    conj = [(a, inv(a)) for a in conj]
+    sub = Subgroup(group, [None] * len(identity))
     queue = list(gens)
-    for x in queue:  # in the given order; conjugates are appended while walking
-        if x in elements:
+    for x in queue:  # in the given order; new words are appended while walking
+        x = sub.sift(x)
+        if x == identity:
             continue
-        kept.append(x)
-        todo = [(y, (x,)) for y in elements]  # old elements still lack only x
-        while todo:
-            y, by = todo.pop()
-            for a in by:
-                z = group.product(y, a)
-                if z not in elements:
-                    if len(elements) >= cap:
-                        raise CapExceededError("subgroup closure exceeds enumeration cap")
-                    elements.add(z)
-                    todo.append((z, kept))
-        queue.extend(group.product(group.product(a_inv, x), a) for a, a_inv in conj)
-    return Subgroup(group, frozenset(elements), tuple(kept))
+        if p ** (len(sub.rows) + 1) > cap:
+            raise CapExceededError("subgroup closure exceeds enumeration cap")
+        d = _depth(x)
+        row = _powers(group, x, pow(x[d], -1, p) + 1)[-1]
+        powers = _powers(group, row, p + 1)
+        queue.append(powers.pop())
+        queue.extend(prod(prod(prod(inv(row), inv(r)), row), r) for r in sub.rows)
+        queue.extend(prod(prod(a_inv, row), a) for a, a_inv in conj)
+        sub._powers[d] = powers
+    return sub
 
 
 def _conjugates_exceed(group: "PcGroup", seed: list[Element]) -> bool:
@@ -473,12 +581,15 @@ class PcGroup:
             acc = self.product(acc, x)
         return acc
 
+    def _require_cap(self) -> None:
+        if self.order > self.cap:
+            raise CapExceededError(
+                f"group order {self.order} exceeds enumeration cap {self.cap}"
+            )
+
     def elements(self) -> list[Element]:
         if self._elements is None:
-            if self.order > self.cap:
-                raise CapExceededError(
-                    f"group order {self.order} exceeds enumeration cap {self.cap}"
-                )
+            self._require_cap()
             self._elements = list(itertools.product(range(self.p), repeat=self.pres.n))
         return self._elements
 
@@ -497,10 +608,14 @@ class PcGroup:
             raise
 
     def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, frozenset(self.elements()), tuple(self.pc_generators()))
+        """G, with the pc generators as rows."""
+        self._require_cap()
+        p, n = self.p, self.pres.n
+        return Subgroup(self, [[tuple(k if i == d else 0 for i in range(n)) for k in range(p)]
+                               for d in range(n)])
 
     def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, frozenset({self.identity()}), ())
+        return Subgroup(self, [None] * self.pres.n)
 
     def normal_closure(self, gens: Iterable[Element]) -> Subgroup:
         return self.subgroup(gens, normal=True)
@@ -514,9 +629,9 @@ class PcGroup:
         series = [self.full_subgroup()]
         while series[-1].order > 1:
             current = series[-1]
-            seed = [self.commutator(x, a) for x in current.gens for a in pcg]
+            seed = [self.commutator(x, a) for x in current.rows for a in pcg]
             if powers:
-                seed += [self.power_p(x) for x in current.gens]
+                seed += [self.power_p(x) for x in current.rows]
             nxt = span(self, seed, pcg, self.cap)
             if nxt.order >= current.order:
                 raise InconsistentPresentationError(f"{name} does not descend")
@@ -557,22 +672,15 @@ class PcGroup:
     # -- invariants of subgroups ---------------------------------------------
 
     def frattini_subgroup(self, h: Subgroup) -> Subgroup:
-        """H^p [H, H]: the normal closure in H of x^p and [x, y] over its generators."""
-        seed = [self.power_p(x) for x in h.gens]
-        seed += [self.commutator(x, y) for x in h.gens for y in h.gens]
-        return span(self, seed, h.gens, self.cap)
+        """H^p [H, H]: the normal closure in H of x^p and [x, y] over its rows."""
+        rows = h.rows
+        seed = [self.power_p(x) for x in rows]
+        seed += [self.commutator(x, y) for i, x in enumerate(rows) for y in rows[:i]]
+        return span(self, seed, rows, self.cap)
 
     def min_generators(self, h: Subgroup) -> int:
-        """Minimal size of a generating set: dim of H modulo H^p [H, H]."""
-        phi = self.frattini_subgroup(h)
-        quot = h.order // phi.order
-        dim = 0
-        while quot > 1:
-            if quot % self.p:
-                raise InconsistentPresentationError("generator-count quotient not a p-power")
-            quot //= self.p
-            dim += 1
-        return dim
+        """Minimal size of a generating set: rank(H) - rank(H^p [H, H])."""
+        return len(h.rows) - len(self.frattini_subgroup(h).rows)
 
     def element_length(self, x: Element) -> int:
         """Largest k with x in gamma_k; the identity gets class + 1 as sentinel."""
@@ -593,7 +701,7 @@ class PcGroup:
         Returns per-pair verdicts and the overall flag.
         """
         idx = list(tower_indices)
-        if any(not isinstance(j, int) or not 1 <= j <= self.pres.n for j in idx):
+        if any(not is_int(j) or not 1 <= j <= self.pres.n for j in idx):
             raise InputError(f"tower indices must lie in [1, {self.pres.n}]")
         pairs = []
         ok = True
@@ -601,7 +709,7 @@ class PcGroup:
             closure = self.normal_closure([self.pres.generator(j)])
             for later_pos in range(max(pos + 1, 2), len(idx)):
                 later = idx[later_pos]
-                contained = self.pres.generator(later) in closure.elements
+                contained = self.pres.generator(later) in closure
                 ok = ok and contained
                 pairs.append({"generator": j, "later": later, "contained": contained})
         return {"pairs": pairs, "ok": ok}
@@ -612,7 +720,7 @@ class PcGroup:
         The subgroup is generated by a_2 ... a_{2k-1} together with all
         a_{2k+1} ... a_n; requires depth n >= 2k + 2.
         """
-        if not isinstance(k, int) or k < 1:
+        if not is_int(k) or k < 1:
             raise InputError(f"k must be a positive integer, got {k!r}")
         if self.pres.n < 2 * k + 2:
             raise InputError(

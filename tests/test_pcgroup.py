@@ -1,20 +1,27 @@
 """Unit tests for the power-commutator group engine."""
 
+import json
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramify import (
     CapExceededError,
+    CosetGroup,
     InconsistentPresentationError,
     InputError,
     PcGroup,
     PcPresentation,
+    Subgroup,
     build_heisenberg,
     build_tower_truncation,
     consistency_check,
     shipped_truncations,
 )
+from ramify.cli import main
+from ramify.pcgroup import span
 
 
 def _heis(p):
@@ -407,3 +414,118 @@ def test_series_collect_from_generators_only():
     assert rep["gamma_orders"] == rep["p_orders"] == [3**8, 3**4, 1]
     # the element-set series collected 13,835 products here, more than |G|
     assert len(g._coll._cache) - before < g.order
+
+
+# -- induced pcgs: sifting against the element sets ------------------------------
+
+
+def test_probes_reject_bools():
+    g = PcGroup(build_tower_truncation(3, 4))
+    with pytest.raises(InputError):
+        g.just_infinite_probe([True, 2, 3])
+    g = _class2_order_3_8()
+    with pytest.raises(InputError):
+        g.rank_growth_probe(True)
+
+
+@st.composite
+def _groups_with_two_spans(draw):
+    """A group from _consistent_groups_with_gens, a second seed and a kernel seed."""
+    g, gens, normal = draw(_consistent_groups_with_gens())
+    element = st.tuples(*[st.integers(0, g.p - 1)] * g.pres.n)
+    return g, gens, normal, draw(st.lists(element, max_size=3)), draw(st.lists(element, max_size=2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_groups_with_two_spans())
+def test_sifting_matches_element_sets(case):
+    g, gens, normal, others, kernel_seed = case
+    sub = g.subgroup(gens, normal=normal)
+    ref = _ref_normal_closure(g, gens) if normal else _ref_closure(g, gens)
+    assert sub.order == len(ref)
+    assert all((x in sub) == (x in ref) for x in g.elements())
+    # another induced pcgs of the same subgroup, and subgroups with other elements
+    assert Subgroup.from_elements(g, ref) == sub
+    assert g.subgroup(list(reversed(gens)) + [g.product(x, y) for x in gens for y in gens]) \
+        == g.subgroup(gens)
+    for normal_other in (False, True):
+        other = g.subgroup(others, normal=normal_other)
+        assert (sub == other) == (sub.elements == other.elements)
+    series = _ref_series(g, False)
+    assert all(g.element_length(x) == sum(x in term for term in series) for x in g.elements())
+    # the same sifting on a quotient, against a product BFS there
+    quot = CosetGroup(g, g.normal_closure(kernel_seed))
+    images = [quot.project(x) for x in gens]
+    for qsub, qref in ((span(quot, images), _ref_closure(quot, images)),
+                       (span(quot, images, quot.pc_generators()),
+                        _ref_normal_closure(quot, images))):
+        assert qsub.elements == qref
+        assert qsub.order == len(qref)
+        assert all((c in qsub) == (c in qref) for c in quot.elements())
+
+
+def test_probes_collect_few_products():
+    g = _class2_order_3_8()
+    before = len(g._coll._cache)
+    assert g.rank_growth_probe(2)["order"] == 3**6
+    # the element-set span collected 3,624 products here
+    assert len(g._coll._cache) - before < 400
+    g = _class2_order_3_8()
+    before = len(g._coll._cache)
+    g.just_infinite_probe(range(1, 9))
+    # and 961 here
+    assert len(g._coll._cache) - before < 400
+
+
+def _class2(p, top, n):
+    """``top`` generators whose commutators [a_j, a_i] cycle over the n - top
+    central ones, and the map (j, i) -> the index of [a_j, a_i]."""
+    pairs = [(j, i) for j in range(2, top + 1) for i in range(1, j)]
+    central = {pair: top + 1 + idx % (n - top) for idx, pair in enumerate(pairs)}
+    return PcPresentation.build(p, n, comm={pair: {c: 1} for pair, c in central.items()}), central
+
+
+def test_full_span_of_order_3_10_is_fast():
+    g = PcGroup(_class2(3, 5, 10)[0])
+    start = time.perf_counter()
+    # the element-set span took 7.25 s and collected 236,488 products
+    assert g.subgroup(g.pc_generators()).order == 3**10
+    assert time.perf_counter() - start < 0.05
+
+
+def test_cli_on_order_3_40(tmp_path, capsys, monkeypatch):
+    top, n = 10, 40
+    pres, central = _class2(3, top, n)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(pres.to_json_dict()))
+
+    def run(*argv):
+        code = main([*argv, "--file", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # under the default cap the whole group is a subgroup above the cap
+    monkeypatch.delenv("RAMIFY_CAP", raising=False)
+    code, _, err = run("group", "series")
+    assert code == 4 and "exceeds enumeration cap" in err
+    monkeypatch.setenv("RAMIFY_CAP", str(3**37))
+    code, _, err = run("group", "rank", "--k", "2")
+    assert code == 4 and "subgroup closure exceeds enumeration cap" in err
+
+    monkeypatch.setenv("RAMIFY_CAP", str(3**40))
+    code, out, _ = run("group", "series")
+    assert code == 0
+    # every central generator is some [a_j, a_i], and x^3 = 1 throughout
+    assert json.loads(out)["gamma_orders"] == json.loads(out)["p_orders"] == [3**40, 3**30, 1]
+    code, out, _ = run("group", "rank", "--k", "2")
+    assert code == 0
+    top_kept = {2, 3} | set(range(5, top + 1))
+    phi_rank = len({c for (j, i), c in central.items() if {i, j} <= top_kept})
+    assert json.loads(out) == {"indices": [2, 3, *range(5, n + 1)], "k": 2,
+                               "order": 3**38, "min_generators": 38 - phi_rank}
+    code, out, _ = run("group", "probe")
+    assert code == 0
+    # the normal closure of a_j holds a later generator only if it is some [a_j, a_i]
+    for pair in json.loads(out)["pairs"]:
+        j, later = pair["generator"], pair["later"]
+        assert pair["contained"] == any(j in ji and c == later for ji, c in central.items())
