@@ -4,8 +4,13 @@ A presentation on generators a_1 < ... < a_n over a prime p stores, for
 each j, the word a_j^p as an exponent vector over the later generators,
 and for each pair i < j the commutator [a_j, a_i] = a_j^-1 a_i^-1 a_j a_i,
 again over generators strictly after a_j.  Elements are normal forms
-a_1^e1 ... a_n^en with 0 <= e < p, written as plain exponent tuples; the
-product is computed by collection from the left.
+a_1^e1 ... a_n^en with 0 <= e < p, written as plain exponent tuples.  The
+product x y is computed by collection from the left (Vaughan-Lee; Leedham-
+Green and Soicher): x is the collected exponent vector, y's letters go on a
+stack, and each popped letter is added to the vector or moved left across
+its tail, which goes back on the stack as conjugates, with power rows
+pushed where an exponent reaches p.  Letters are handled in the order of
+rewriting the leftmost out-of-order letter of the word x y first.
 
 Consistency (the collected product being associative on all p^n normal
 forms) is decided by the standard overlap tests on generator and power
@@ -175,16 +180,18 @@ def _rows(data: dict, key: str) -> Iterable[tuple[str, dict]]:
 
 
 def _rhs(row: dict, where: str) -> dict:
-    """The row's exponent map keyed by generator index; object keys are
-    strings, and the exponents are checked by _clean_rhs."""
+    """The row's exponent map keyed by generator index: JSON object keys
+    must be plain ASCII decimals, and the exponents are checked by _clean_rhs."""
     rhs = row.get("rhs", {})
     if not isinstance(rhs, dict):
         raise InputError(f'{where} "rhs" must be an object')
     out = {}
     for k, e in rhs.items():
         try:
+            if not (is_int(k) or isinstance(k, str) and k.isascii() and k.isdigit()):
+                raise ValueError
             out[int(k)] = e
-        except (TypeError, ValueError):
+        except ValueError:  # also a key beyond int()'s digit limit
             raise InputError(f'{where} "rhs" key {k!r} is not a generator index') from None
     return out
 
@@ -195,105 +202,95 @@ def _index(row, key: str, where: str) -> int:
     except KeyError:
         raise InputError(f'{where} lacks "{key}"') from None
     if not is_int(value):
-        raise InputError(f"generator index must be an integer, got {value!r}")
+        raise InputError(f'{where} "{key}" must be an integer, got {value!r}')
     return value
 
 
 class _Collector:
-    """Collection from the left; usable on inconsistent presentations too."""
+    """Collection from the left over an exponent vector and a letter stack.
+
+    The collected part of the word is a normal form, kept as the exponent
+    vector v; the letters (g, e) still to be multiplied on lie on a stack,
+    the next one on top (generators counted from 0 here).  A popped a_g^e
+    with v zero above g is added to v[g], and a_g^p is replaced by its
+    power row.  Otherwise one a_g moves left across the tail a_h^v[h],
+    h > g: the rest a_g^(e-1) goes back on the stack, then the tail as v[h]
+    copies of a_h^(a_g) = a_h [a_h, a_g] for each h, lowest h on top, and
+    the single a_g is added to v[g].  That is the trail which rewriting the
+    leftmost out-of-order letter of the whole word leaves, so every product
+    is that rewriting's, on inconsistent presentations too.
+    """
 
     def __init__(self, pres: PcPresentation):
         self.pres = pres
         self._cache: dict[tuple[Element, Element], Element] = {}
         self._inv_cache: dict[Element, Element] = {}
-        # [a_g, a_h] for h < g, looked up as _comm[g][h] while collecting
-        self._comm = [[()] + [pres.comm_rhs(g, h) for h in range(1, g)] for g in range(pres.n + 1)]
+        n = pres.n
 
-    def _collect(self, word: list[list[int]]) -> Element:
-        """Rewrite [gen, exp] pairs to the normal form exponent tuple."""
-        p, power, comm = self.pres.p, self.pres.power, self._comm
-        steps = 0
-        pos = 0
-        while True:
-            steps += 1
-            if steps > _MAX_COLLECT_STEPS:
-                raise CapExceededError("collection step limit exceeded")
-            if pos > 0 and (pos >= len(word) or word[pos - 1][0] >= word[pos][0]):
-                pos -= 1  # re-examine the junction a rewrite may have disturbed
-            # find first violation at or after pos
-            k = pos
-            while k < len(word):
-                g, e = word[k]
-                if e >= p:
-                    break
-                if k + 1 < len(word) and word[k + 1][0] <= g:
-                    break
-                k += 1
-            else:
-                break  # normal
-            pos = k
-            g, e = word[k]
+        def stacked(word) -> tuple[tuple[int, int], ...]:
+            return tuple((k - 1, e) for k, e in reversed(word))
+
+        self._power = [stacked(pres.power_rhs(g)) for g in range(1, n + 1)]
+        # a_h^(a_g) for g < h, looked up as _conj[g][h]
+        self._conj = [[stacked(((h, 1),) + pres.comm_rhs(h, g)) if h > g else ()
+                       for h in range(1, n + 1)] for g in range(1, n + 1)]
+
+    def _collect(self, v: list[int], stack: list[tuple[int, int]]) -> Element:
+        """The normal form of v times the stacked letters; v is consumed."""
+        p, power, conj, limit = self.pres.p, self._power, self._conj, _MAX_COLLECT_STEPS
+        pop, push = stack.pop, stack.extend
+        pushed = len(stack)  # every letter ever stacked, so the limit caps memory too
+        top = len(v) - 1  # the last nonzero entry of v, -1 for the identity
+        while top >= 0 and not v[top]:
+            top -= 1
+        while stack:
+            g, e = pop()
+            if g < top:
+                if e > 1:
+                    stack.append((g, e - 1))
+                row = conj[g]
+                for h in range(top, g, -1):
+                    if v[h]:
+                        trail = row[h] * v[h]
+                        v[h] = 0
+                        push(trail)
+                        pushed += len(trail)
+                e = 1
+            e += v[g]
             if e >= p:
-                # a_g^e = a_g^(e-p) * (a_g^p as a word in later generators)
-                rhs = [[gk, ge] for gk, ge in power[g - 1]]
-                if e - p > 0:
-                    word[k][1] = e - p
-                    word[k + 1 : k + 1] = rhs
-                else:
-                    word[k : k + 1] = rhs
-                continue
-            g2, e2 = word[k + 1]
-            if g2 == g:
-                word[k][1] = e + e2
-                del word[k + 1]
-                continue
-            # g > g2: peel one a_g2 to the left across one a_g
-            rhs = [[gk, ge] for gk, ge in comm[g][g2]]
-            repl = []
-            if e - 1 > 0:
-                repl.append([g, e - 1])
-            repl.append([g2, 1])
-            repl.append([g, 1])
-            repl.extend(rhs)
-            if e2 - 1 > 0:
-                repl.append([g2, e2 - 1])
-            word[k : k + 2] = repl
-        out = [0] * self.pres.n
-        for g, e in word:
-            out[g - 1] = e
-        return tuple(out)
-
-    @staticmethod
-    def _word_of(x: Element) -> list[list[int]]:
-        return [[j + 1, e] for j, e in enumerate(x) if e]
+                e -= p
+                push(power[g])
+                pushed += len(power[g])
+            v[g] = e
+            top = g
+            if not e:
+                while top >= 0 and not v[top]:
+                    top -= 1
+            if pushed > limit:
+                raise CapExceededError("collection step limit exceeded")
+        return tuple(v)
 
     def product(self, x: Element, y: Element) -> Element:
         key = (x, y)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._collect(self._word_of(x) + self._word_of(y))
-        self._cache[key] = result
-        return result
+        if cached is None:
+            letters = [(g, y[g]) for g in range(len(y) - 1, -1, -1) if y[g]]
+            cached = self._cache[key] = self._collect(list(x), letters)
+        return cached
 
     def inverse(self, x: Element) -> Element:
         # kill coordinates left to right: right-multiplying by a_k^(p - e)
         # only touches coordinates >= k
         cached = self._inv_cache.get(x)
-        if cached is not None:
-            return cached
-        p, n = self.pres.p, self.pres.n
-        inv = self.pres.identity()
-        acc = x
-        for k in range(1, n + 1):
-            e = acc[k - 1]
-            if e == 0:
-                continue
-            step = tuple((p - e) if j == k - 1 else 0 for j in range(n))
-            acc = self.product(acc, step)
-            inv = self.product(inv, step)
-        self._inv_cache[x] = inv
-        return inv
+        if cached is None:
+            p, n = self.pres.p, self.pres.n
+            acc, cached = x, self.pres.identity()
+            for k in range(n):
+                if acc[k]:
+                    step = tuple(p - acc[k] if j == k else 0 for j in range(n))
+                    acc, cached = self.product(acc, step), self.product(cached, step)
+            self._inv_cache[x] = cached
+        return cached
 
 
 @dataclass(frozen=True)
@@ -313,21 +310,19 @@ def _overlap_triples(pres: PcPresentation) -> Iterable[tuple[Element, Element, E
     (k > j > i) and the power overlaps a_j^p against neighbours and itself.
     """
     n, p = pres.n, pres.p
-    gen = pres.generator
-
-    def power_word(j: int) -> Element:
-        return tuple((p - 1) if k == j - 1 else 0 for k in range(n))
-
-    for j in range(1, n + 1):
-        yield gen(j), power_word(j), gen(j)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            yield power_word(j), gen(j), gen(i)
-            yield gen(j), power_word(i), gen(i)
-    for k in range(3, n + 1):
-        for j in range(2, k):
-            for i in range(1, j):
-                yield gen(k), gen(j), gen(i)
+    # a_j and a_j^(p-1), indexed from 0
+    gen = [pres.generator(j) for j in range(1, n + 1)]
+    power_word = [tuple(p - 1 if e else 0 for e in a) for a in gen]
+    for j in range(n):
+        yield gen[j], power_word[j], gen[j]
+    for j in range(1, n):
+        for i in range(j):
+            yield power_word[j], gen[j], gen[i]
+            yield gen[j], power_word[i], gen[i]
+    for k in range(2, n):
+        for j in range(1, k):
+            for i in range(j):
+                yield gen[k], gen[j], gen[i]
 
 
 def consistency_check(

@@ -529,3 +529,115 @@ def test_cli_on_order_3_40(tmp_path, capsys, monkeypatch):
     for pair in json.loads(out)["pairs"]:
         j, later = pair["generator"], pair["later"]
         assert pair["contained"] == any(j in ji and c == later for ji, c in central.items())
+
+
+# -- the vector-and-stack collector against word rewriting ------------------------
+
+
+class _RewritingCollector:
+    """Reference: the word of [gen, exp] pairs rewritten in place, always at
+    its leftmost out-of-order letter (an exponent at p or above, or a
+    letter not above the one before it), until it is a normal form."""
+
+    def __init__(self, pres):
+        self.pres = pres
+
+    def _collect(self, word):
+        p, pres = self.pres.p, self.pres
+        pos = 0
+        while True:
+            if pos > 0 and (pos >= len(word) or word[pos - 1][0] >= word[pos][0]):
+                pos -= 1  # re-examine the junction a rewrite may have disturbed
+            k = pos
+            while k < len(word):
+                g, e = word[k]
+                if e >= p or (k + 1 < len(word) and word[k + 1][0] <= g):
+                    break
+                k += 1
+            else:
+                break  # normal
+            pos = k
+            g, e = word[k]
+            if e >= p:
+                # a_g^e = a_g^(e-p) * (a_g^p as a word in later generators)
+                rhs = [[gk, ge] for gk, ge in pres.power_rhs(g)]
+                word[k : k + 1] = ([[g, e - p]] if e > p else []) + rhs
+                continue
+            g2, e2 = word[k + 1]
+            if g2 == g:
+                word[k][1] = e + e2
+                del word[k + 1]
+                continue
+            # g > g2: peel one a_g2 to the left across one a_g
+            word[k : k + 2] = (([[g, e - 1]] if e > 1 else []) + [[g2, 1], [g, 1]]
+                               + [[gk, ge] for gk, ge in pres.comm_rhs(g, g2)]
+                               + ([[g2, e2 - 1]] if e2 > 1 else []))
+        out = [0] * pres.n
+        for g, e in word:
+            out[g - 1] = e
+        return tuple(out)
+
+    def product(self, x, y):
+        return self._collect([[j + 1, e] for z in (x, y) for j, e in enumerate(z) if e])
+
+
+@st.composite
+def _presentations_with_pairs(draw):
+    """Random presentations over p in {2, 3, 5}, n <= 6, consistent or not,
+    and element pairs to multiply."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 6))
+
+    def rhs(j):
+        if j == n or draw(st.integers(0, 4)) < 2:
+            return {}
+        return dict(draw(st.lists(st.tuples(st.integers(j + 1, n), st.integers(1, p - 1)),
+                                  min_size=1, max_size=3)))
+
+    pres = PcPresentation.build(p, n, {j: rhs(j) for j in range(1, n + 1)},
+                                {(j, i): rhs(j) for j in range(2, n + 1) for i in range(1, j)})
+    element = st.tuples(*[st.integers(0, p - 1)] * n)
+    return pres, draw(st.lists(st.tuples(element, element), min_size=1, max_size=20))
+
+
+@example(case=(PcPresentation.build(2, 4, comm={(2, 1): {3: 1}, (3, 1): {4: 1}}),
+               [((1, 1, 1, 1), (1, 1, 1, 1))]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_presentations_with_pairs())
+def test_collector_matches_word_rewriting(case):
+    pres, pairs = case
+    coll, ref = PcGroup(pres, _checked=True)._coll, _RewritingCollector(pres)
+    for x, y in pairs:
+        assert coll.product(x, y) == ref.product(x, y)
+    fast, slow = consistency_check(pres), consistency_check(pres, coll=ref)
+    assert (fast.ok, fast.witness, fast.detail) == (slow.ok, slow.witness, slow.detail)
+
+
+def test_collection_step_limit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("ramify.pcgroup._MAX_COLLECT_STEPS", 2)
+    with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
+        _heis(3)
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(build_heisenberg(3).to_json_dict()))
+    assert main(["group", "check", "--file", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"code": "cap-exceeded",
+                                        "error": "collection step limit exceeded"}
+
+
+def test_presentation_rows_name_bad_indices():
+    def load(**rows):
+        return PcPresentation.from_json_dict({"p": 3, "n": 3, **rows})
+
+    with pytest.raises(InputError) as exc:
+        load(comm=[{"j": "x", "i": 1, "rhs": {}}])
+    assert str(exc.value) == "bad presentation: comm[0] \"j\" must be an integer, got 'x'"
+    with pytest.raises(InputError) as exc:
+        load(power=[{"j": 1}, {"j": 2.7}])
+    assert str(exc.value) == "bad presentation: power[1] \"j\" must be an integer, got 2.7"
+    # rhs keys are plain ASCII decimals (or ints from Python callers), nothing else
+    for key in ("1_0", " 3", "3 ", "+3", "-3", "３", "³", True, 3.0, "9" * 5000):
+        with pytest.raises(InputError, match="is not a generator index"):
+            load(comm=[{"j": 2, "i": 1, "rhs": {key: 1}}])
+    for key in ("3", "03", 3):
+        assert load(comm=[{"j": 2, "i": 1, "rhs": {key: 1}}]) == build_heisenberg(3)
