@@ -21,7 +21,7 @@ from .errors import (
     InfeasiblePlanError,
     InputError,
 )
-from .ratio import format_rat, is_int, parse_rat
+from .ratio import format_rat, is_int, parse_rat, reject_unknown
 
 __all__ = ["main"]
 
@@ -136,9 +136,7 @@ def _load_filtration(data, cap: int, check: bool) -> RamFiltration:
             raise InputError(f"duplicate ig entry for element {list(key)}")
         ig[key] = entry["value"]
     default = data.get("default")
-    extra = set(data) - {"group", "ig", "default"}
-    if extra:
-        raise InputError(f"unknown filtration fields: {sorted(extra)}")
+    reject_unknown(data, ("group", "ig", "default"), "filtration")
     return RamFiltration(group, ig, default=default, check=check)
 
 
@@ -179,9 +177,7 @@ def _cmd_herbrand(args) -> int:
         data = _read_json(args.file)
         if not isinstance(data, dict) or not {"outer", "inner"} <= set(data):
             raise InputError('compose input needs "outer" and "inner" functions')
-        extra = set(data) - {"outer", "inner"}
-        if extra:
-            raise InputError(f"unknown compose fields: {sorted(extra)}")
+        reject_unknown(data, ("outer", "inner"), "compose")
         func = compose(
             PLFunc.from_json_dict(data["outer"]),
             PLFunc.from_json_dict(data["inner"]),
@@ -337,9 +333,7 @@ def _cmd_plan(args) -> int:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     data = _read_json(args.file)
     if isinstance(data, dict) and "plans" in data:
-        extra = set(data) - {"plans"}
-        if extra:
-            raise InputError(f"unknown sweep fields: {sorted(extra)}")
+        reject_unknown(data, ("plans",), "sweep")
         plan_dicts = data["plans"]
         if not isinstance(plan_dicts, list) or not plan_dicts:
             raise InputError('"plans" must be a nonempty list')
@@ -374,16 +368,12 @@ def _cmd_merge(args) -> int:
         raw = data.get("sequences")
         if not isinstance(raw, list) or not raw:
             raise InputError('merge max input needs a nonempty "sequences" list')
-        extra = set(data) - {"sequences"}
-        if extra:
-            raise InputError(f"unknown merge fields: {sorted(extra)}")
+        reject_unknown(data, ("sequences",), "merge")
         merged = compositum_merge([BreakSequence.from_json_dict(s) for s in raw])
     else:  # repair
         if not {"base", "family"} <= set(data):
             raise InputError('merge repair input needs "base" and "family"')
-        extra = set(data) - {"base", "family"}
-        if extra:
-            raise InputError(f"unknown merge fields: {sorted(extra)}")
+        reject_unknown(data, ("base", "family"), "merge")
         base = BreakSequence.from_json_dict(data["base"])
         family = data["family"]
         if not isinstance(family, list):

@@ -1,22 +1,23 @@
 """Ramification filtrations in lower and upper numbering on finite p-groups.
 
 A filtration assigns every non-identity element a positive break value
-(the identity sits above everything); the level set at height v collects
-the identity and all elements with value >= v + 1.  Each level set must be
-a normal subgroup.  The transition function between the two numberings is
-built by integrating subgroup indices across unit levels, yielding an exact
-piecewise-linear function, and quotients inherit their filtration through
-the image identity: the quotient's upper level set at u is the image of
-the ambient one at u, with the quotient's own lower numbering recomputed
-from its own transition function.
+(the identity sits above everything); the level set at height t holds the
+identity and all elements of value >= t + 1, and must be a normal subgroup.
+The filtration is thus a chain of normal subgroups, one per distinct value,
+built once: validation, level sets and the transition function between the
+two numberings (the integral of the subgroup indices) all read it.  By
+Herbrand's theorem a quotient's upper level sets are the images of the
+ambient ones (Serre, *Local Fields*, ch. IV §1 and §3), spanned by the
+images of their rows; its lower numbering follows from their indices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import InputError
 from .herbrand import PLFunc, _from_points, identity_func, invert
@@ -136,6 +137,22 @@ class RamFiltration:
 
     # -- level sets -------------------------------------------------------
 
+    @functools.cached_property
+    def levels(self) -> list[tuple[Fraction, int, Subgroup]]:
+        """(v, |S|, span(S)) for each distinct value v, increasing, where S
+        holds the identity and the elements of value >= v.  Each span grows
+        from the rows of the level above and the elements of value exactly v."""
+        exact: dict[Fraction, list[Element]] = {}
+        for x, v in self.ig.items():
+            exact.setdefault(v, []).append(x)
+        chain, size, rows = [], 1, []
+        for v in sorted(exact, reverse=True):
+            size += len(exact[v])
+            sub = span(self.group, rows + exact[v])
+            rows = list(sub.rows)
+            chain.append((v, size, sub))
+        return chain[::-1]
+
     def value_of(self, x: Element):
         """Break value of x; None for the identity (above every level)."""
         x = tuple(x)
@@ -147,14 +164,12 @@ class RamFiltration:
             raise InputError(f"element {x} does not belong to the group") from None
 
     def distinct_values(self) -> list[Fraction]:
-        return sorted(set(self.ig.values()))
+        return [v for v, _, _ in self.levels]
 
     def level_set(self, t) -> Subgroup:
         """Elements of value >= t + 1, plus the identity."""
         t = parse_rat(t)
-        members = {x for x, v in self.ig.items() if v >= t + 1}
-        members.add(self.group.identity())
-        return Subgroup.from_elements(self.group, frozenset(members))
+        return next((sub for v, _, sub in self.levels if v >= t + 1), span(self.group, []))
 
     def lower_breaks(self) -> list[Fraction]:
         """Levels t where the level set properly drops just above t."""
@@ -163,23 +178,21 @@ class RamFiltration:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Each level set is closed iff its span has its member count, and
+        then normal iff the span is.  Only on failure are the members listed
+        and scanned pairwise for the witness."""
         g = self.group
-        identity = g.identity()
-        for v in self.distinct_values():
-            level = v - 1
-            members = frozenset(
-                {x for x, val in self.ig.items() if val >= v} | {identity}
-            )
-            sub = span(g, sorted(members))
-            # on failure the pairwise scans name the witness
-            if sub.order != len(members):
+        for v, size, sub in self.levels:
+            if sub.order == size and sub.is_normal():
+                continue
+            members = frozenset({x for x, val in self.ig.items() if val >= v} | {g.identity()})
+            if sub.order != size:
                 x, y = next((x, y) for x in members for y in members
                             if g.product(x, y) not in members)
-                return ValidationReport(False, level, (x, y), "not closed under product")
-            if not sub.is_normal():
-                a, x = next((a, x) for x in members for a in g.pc_generators()
-                            if g.product(g.product(g.inverse(a), x), a) not in members)
-                return ValidationReport(False, level, (a, x), "not normal")
+                return ValidationReport(False, v - 1, (x, y), "not closed under product")
+            a, x = next((a, x) for x in members for a in g.pc_generators()
+                        if g.product(g.product(g.inverse(a), x), a) not in members)
+            return ValidationReport(False, v - 1, (a, x), "not normal")
         return ValidationReport(True)
 
     # -- transition functions -----------------------------------------------
@@ -192,9 +205,8 @@ class RamFiltration:
         # slope |G_t| / |G| on (tau_prev, tau], where G_t holds the values >= v
         points: list[tuple[Fraction, Fraction]] = []
         x, y = Fraction(0), Fraction(0)
-        for v in self.distinct_values():
+        for v, size, _ in self.levels:
             tau = v - 1
-            size = 1 + sum(1 for val in self.ig.values() if val >= v)
             y += Fraction(size, order) * (tau - x)
             x = tau
             if tau > 0:
@@ -215,40 +227,27 @@ class RamFiltration:
 
 
 def quotient_filtration(rf: RamFiltration, kernel: Subgroup) -> RamFiltration:
-    """Filtration on G/H whose upper level sets are the images of G's.
+    """Filtration on Q = G/N whose upper level sets are the images of G's.
 
-    Each coset inherits the largest upper level at which it still meets the
-    ambient level set; the quotient's lower numbering is then recomputed by
-    integrating indices along its own upper filtration.
+    ``rf`` must be valid (the CLI loads it checked), so each level's image is
+    spanned by its rows' images.  The level of value v is G's upper level
+    at u = phi(v - 1).  Where the image drops below the next one, psi_Q gains
+    slope (Q : image) up to u, and the cosets it loses take psi_Q(u) + 1.
     """
     group = rf.group
     if not isinstance(group, PcGroup):
         raise InputError("quotients are taken of presented groups only")
     quot = CosetGroup(group, kernel)
-    identity_coset = quot.identity()
     phi = rf.herbrand_func()
-    # largest upper level containing each non-identity coset
-    last_level: dict[Element, Fraction] = {}
-    for x, v in rf.ig.items():
-        c = quot.project(x)
-        if c == identity_coset:
+    images = [span(quot, [quot.project(r) for r in sub.rows]) for _, _, sub in rf.levels]
+    ig_q: dict[Element, Fraction] = {}
+    prev_u = psi_u = Fraction(0)
+    for (v, _, _), image, below in zip(rf.levels, images, images[1:] + [span(quot, [])]):
+        if image.order == below.order:
             continue
         u = phi.eval(v - 1)
-        if c not in last_level or last_level[c] < u:
-            last_level[c] = u
-    if not last_level:
-        return RamFiltration(quot, {}, require_integer=False, check=False)
-    # psi of the quotient: slope (Q : Q^t) between its upper jump points
-    levels = sorted(set(last_level.values()))
-    qorder = quot.order
-    ig_q: dict[Element, Fraction] = {}
-    psi_at: dict[Fraction, Fraction] = {}
-    prev_u, prev_psi = Fraction(0), Fraction(0)
-    for u in levels:
-        size = 1 + sum(1 for lv in last_level.values() if lv >= u)
-        prev_psi = prev_psi + Fraction(qorder, size) * (u - prev_u)
-        psi_at[u] = prev_psi
+        psi_u += Fraction(quot.order, image.order) * (u - prev_u)
         prev_u = u
-    for c, u in last_level.items():
-        ig_q[c] = psi_at[u] + 1
+        for c in image.elements - below.elements:
+            ig_q[c] = psi_u + 1
     return RamFiltration(quot, ig_q, require_integer=False)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .ratio import format_rat, is_int, parse_rat, require_prime
+from .ratio import format_rat, parse_rat, reject_unknown, require_posint, require_prime
 
 __all__ = [
     "PLFunc",
@@ -111,9 +111,7 @@ class PLFunc:
     def from_json_dict(cls, data: dict) -> "PLFunc":
         if not isinstance(data, dict):
             raise InputError("piecewise-linear function must be a JSON object")
-        extra = set(data) - {"breakpoints", "slopes"}
-        if extra:
-            raise InputError(f"unknown piecewise-linear function fields: {sorted(extra)}")
+        reject_unknown(data, ("breakpoints", "slopes"), "piecewise-linear function")
         try:
             raw_bps, raw_slopes = data.get("breakpoints", []), data["slopes"]
             if not (isinstance(raw_slopes, list) and isinstance(raw_bps, list)
@@ -159,8 +157,7 @@ def psi_step(i, p) -> PLFunc:
     Identity up to the break, slope p beyond it; continuous at x = i.
     """
     p = require_prime(p)
-    if not is_int(i) or i < 1:
-        raise InputError(f"break must be a positive integer, got {i!r}")
+    require_posint("break", i)
     return PLFunc(((Fraction(i), Fraction(i)),), (Fraction(1), Fraction(p)))
 
 
@@ -204,8 +201,7 @@ def tower_psi(relative_breaks: Iterable[int], p) -> PLFunc:
     p = require_prime(p)
     points: list[tuple[Fraction, Fraction]] = []
     for t in relative_breaks:
-        if not is_int(t) or t < 1:
-            raise InputError(f"relative break must be a positive integer, got {t!r}")
+        require_posint("relative break", t)
         t = Fraction(t)
         if not points:
             points.append((t, t))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, InconsistentPresentationError, InputError
-from .ratio import is_int, require_prime
+from .ratio import is_int, reject_unknown, require_posint, require_prime
 
 __all__ = [
     "PcPresentation",
@@ -89,8 +89,7 @@ class PcPresentation:
         Unspecified right-hand sides are trivial (a_j^p = 1, [a_j, a_i] = 1).
         """
         p = require_prime(p)
-        if not is_int(n) or n < 1:
-            raise InputError(f"generator count must be a positive integer, got {n!r}")
+        require_posint("generator count", n)
         power = dict(power or {})
         comm = dict(comm or {})
         pow_rows = []
@@ -150,9 +149,7 @@ class PcPresentation:
     def from_json_dict(cls, data: dict) -> "PcPresentation":
         if not isinstance(data, dict):
             raise InputError("presentation must be a JSON object")
-        extra = set(data) - {"p", "n", "power", "comm"}
-        if extra:
-            raise InputError(f"unknown presentation fields: {sorted(extra)}")
+        reject_unknown(data, ("p", "n", "power", "comm"), "presentation")
         for key in ("p", "n"):
             if key not in data:
                 raise InputError(f'bad presentation: top level lacks "{key}"')
@@ -388,23 +385,12 @@ class Subgroup:
     elements have the same depth and additive leading exponent.
     """
 
-    def __init__(self, group, powers: list, elements: frozenset | None = None):
+    def __init__(self, group, powers: list):
         self.group = group
         # by depth: None, or [1, r, ..., r^(p-1)] for the row r of that depth
         self._powers = powers
-        self._elements = elements
+        self._elements: frozenset | None = None
         self._canonical: tuple | None = None
-
-    @classmethod
-    def from_elements(cls, group, elements: frozenset) -> "Subgroup":
-        """The subgroup whose element set is already known (it must be
-        closed): a member of leading exponent 1 at each depth is a row."""
-        powers = [None] * len(group.identity())
-        for x in elements:
-            d = _depth(x)
-            if d < len(x) and x[d] == 1 and powers[d] is None:
-                powers[d] = _powers(group, x, group.p)
-        return cls(group, powers, elements)
 
     @property
     def rows(self) -> tuple:
@@ -715,8 +701,7 @@ class PcGroup:
         The subgroup is generated by a_2 ... a_{2k-1} together with all
         a_{2k+1} ... a_n; requires depth n >= 2k + 2.
         """
-        if not is_int(k) or k < 1:
-            raise InputError(f"k must be a positive integer, got {k!r}")
+        require_posint("k", k)
         if self.pres.n < 2 * k + 2:
             raise InputError(
                 f"depth {self.pres.n} too small for k={k}; need at least {2 * k + 2}"

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .errors import InfeasiblePlanError, InputError
 from .herbrand import invert, psi_step, tower_psi
-from .ratio import format_rat, is_int, parse_rat, require_prime
+from .ratio import format_rat, is_int, parse_rat, require_posint, require_prime
 
 __all__ = [
     "TowerPlan",
@@ -64,10 +64,8 @@ def cyclic_break_admissible(j: int, p: int, e: int, strict: bool = True) -> bool
     prime to p unless it sits exactly at the bound.
     """
     require_prime(p)
-    if not is_int(j) or j < 1:
-        raise InputError(f"break must be a positive integer, got {j!r}")
-    if not is_int(e) or e < 1:
-        raise InputError(f"ramification index must be a positive integer, got {e!r}")
+    require_posint("break", j)
+    require_posint("ramification index", e)
     bound = Fraction(p * e, p - 1)
     if j > bound:
         return False
@@ -96,8 +94,7 @@ def break_triple_feasible(i: int, j: int, s: int, p: int, e: int) -> Feasibility
     """
     require_prime(p)
     for name, val in (("i", i), ("j", j), ("s", s), ("e", e)):
-        if not is_int(val) or val < 1:
-            raise InputError(f"{name} must be a positive integer, got {val!r}")
+        require_posint(name, val)
     if j % p == 0:
         return FeasibilityResult(False, f"p = {p} divides j = {j}")
     if s % p == 0:
@@ -154,21 +151,21 @@ class TowerPlan:
         if self.kind not in _KINDS:
             raise InputError(f"unknown plan kind {self.kind!r}")
         require_prime(self.p)
-        _require_posint("e0", self.e0)
+        require_posint("e0", self.e0)
         if self.scaling not in _SCALINGS:
             raise InputError(f"unknown scaling {self.scaling!r}")
         if not isinstance(self.strict, bool):
             raise InputError("strict must be a boolean")
         if self.kind == "apf":
-            _require_posint("depth", self.depth)
-            _require_posint("i1", self.base_i1)
-            _require_posint("i", self.base_i)
+            require_posint("depth", self.depth)
+            require_posint("i1", self.base_i1)
+            require_posint("i", self.base_i)
             for ep in self.eps:
-                _require_posint("eps entry", ep)
+                require_posint("eps entry", ep)
             if self.depth > 1 and not self.eps:
                 raise InputError("apf plans of depth > 1 need at least one eps entry")
             if self.eps_bound is not None:
-                _require_posint("eps_bound", self.eps_bound)
+                require_posint("eps_bound", self.eps_bound)
                 if self.eps and max(self.eps) > self.eps_bound:
                     raise InputError(
                         f"eps entries exceed the declared bound {self.eps_bound}"
@@ -177,7 +174,7 @@ class TowerPlan:
             if not self.schedule:
                 raise InputError(f"{self.kind} plans need a nonempty schedule")
             for t in self.schedule:
-                _require_posint("schedule entry", t)
+                require_posint("schedule entry", t)
             for a, b in itertools.pairwise(self.schedule):
                 if b <= a:
                     raise InputError(
@@ -351,11 +348,6 @@ def _pop_list(data: dict, key: str, item_ok=None, items: str = "") -> list:
     if not isinstance(value, list) or (item_ok and not all(map(item_ok, value))):
         raise InputError(f'"{key}" must be a list{items}')
     return value
-
-
-def _require_posint(name: str, val) -> None:
-    if not is_int(val) or val < 1:
-        raise InputError(f"{name} must be a positive integer, got {val!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 All break coordinates in this package are `fractions.Fraction` values:
 arbitrary precision, always reduced, positive denominator.  These helpers
 pin down the one serialization used everywhere ("num" or "num/den") and a
-strict parser for it.
+strict parser for it, along with the strict checks on the other scalars
+and objects of the input schema.
 """
 
 from __future__ import annotations
@@ -50,6 +51,18 @@ def parse_rat(text) -> Fraction:
 def is_int(value) -> bool:
     """A genuine integer: bools (JSON true/false) and floats do not count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_posint(name: str, value) -> None:
+    if not is_int(value) or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+
+
+def reject_unknown(data: dict, known, what: str) -> None:
+    """Raise if the JSON object ``data`` holds keys outside ``known``."""
+    extra = set(data) - set(known)
+    if extra:
+        raise InputError(f"unknown {what} fields: {sorted(extra)}")
 
 
 def is_prime(p: int) -> bool:

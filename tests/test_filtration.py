@@ -1,5 +1,6 @@
 """Unit tests for break filtrations and their quotient identity."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify import (
+    CosetGroup,
     InputError,
     PcGroup,
     PcPresentation,
@@ -263,3 +265,72 @@ def _assignments(draw):
 @given(rf=_assignments())
 def test_validate_matches_all_pairs_oracle(rf):
     assert rf.validate() == _validate_all_pairs(rf)
+
+
+def _quotient_by_projection(rf, kernel):
+    """The former quotient: project every element, keep each coset's last
+    upper level, and recount the quotient's level sizes for psi."""
+    quot = CosetGroup(rf.group, kernel)
+    identity_coset = quot.identity()
+    phi = rf.herbrand_func()
+    last_level = {}
+    for x, v in rf.ig.items():
+        c = quot.project(x)
+        if c == identity_coset:
+            continue
+        u = phi.eval(v - 1)
+        if c not in last_level or last_level[c] < u:
+            last_level[c] = u
+    if not last_level:
+        return RamFiltration(quot, {}, require_integer=False, check=False)
+    levels = sorted(set(last_level.values()))
+    psi_at = {}
+    prev_u, prev_psi = F(0), F(0)
+    for u in levels:
+        size = 1 + sum(1 for lv in last_level.values() if lv >= u)
+        prev_psi = prev_psi + F(quot.order, size) * (u - prev_u)
+        psi_at[u] = prev_psi
+        prev_u = u
+    ig_q = {c: psi_at[u] + 1 for c, u in last_level.items()}
+    return RamFiltration(quot, ig_q, require_integer=False)
+
+
+# the quaternion group: a_1^2 = a_2^2 = a_3 = [a_2, a_1]
+_Q8 = PcGroup(PcPresentation.build(2, 3, power={1: {3: 1}, 2: {3: 1}}, comm={(2, 1): {3: 1}}))
+
+
+@st.composite
+def _valid_filtrations(draw):
+    """A valid filtration from a chain of normal closures N_1 >= N_2 >= ...,
+    with the values of the chain's steps drawn increasing, and a kernel."""
+    g = draw(st.sampled_from(_ORACLE_GROUPS + [_Q8]))
+    element = st.sampled_from(g.elements())
+    gens = draw(st.lists(element, min_size=1, max_size=4))
+    chain = [g.subgroup(gens[k:], normal=True) for k in range(len(gens))]
+    steps = draw(st.lists(st.integers(1, 3), min_size=len(gens) + 1, max_size=len(gens) + 1))
+    value = list(itertools.accumulate(steps))
+    ig = {x: value[sum(x in h for h in chain)] for x in g.elements() if x != g.identity()}
+    kernel = g.normal_closure(draw(st.lists(element, max_size=2)))
+    return RamFiltration(g, ig), kernel
+
+
+def _assert_level_sets(rf):
+    identity = rf.group.identity()
+    for t in [F(0)] + [b + d for b in rf.lower_breaks() for d in (0, F(1, 2), 1)]:
+        members = {x for x, v in rf.ig.items() if v >= t + 1} | {identity}
+        assert rf.level_set(t).elements == members
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_valid_filtrations())
+def test_quotient_matches_projection_reference(case):
+    rf, kernel = case
+    g = rf.group
+    _assert_level_sets(rf)
+    for n in (g.trivial_subgroup(), g.full_subgroup(), kernel):
+        qf, ref = quotient_filtration(rf, n), _quotient_by_projection(rf, n)
+        assert qf.group.order == ref.group.order
+        assert qf.ig == ref.ig
+        assert qf.lower_breaks() == ref.lower_breaks()
+        assert qf.upper_breaks() == ref.upper_breaks()
+        _assert_level_sets(qf)

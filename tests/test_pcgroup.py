@@ -14,7 +14,6 @@ from ramify import (
     InputError,
     PcGroup,
     PcPresentation,
-    Subgroup,
     build_heisenberg,
     build_tower_truncation,
     consistency_check,
@@ -445,7 +444,6 @@ def test_sifting_matches_element_sets(case):
     assert sub.order == len(ref)
     assert all((x in sub) == (x in ref) for x in g.elements())
     # another induced pcgs of the same subgroup, and subgroups with other elements
-    assert Subgroup.from_elements(g, ref) == sub
     assert g.subgroup(list(reversed(gens)) + [g.product(x, y) for x in gens for y in gens]) \
         == g.subgroup(gens)
     for normal_other in (False, True):

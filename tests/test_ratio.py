@@ -1,4 +1,4 @@
-"""Unit tests for the rational serialization helpers."""
+"""Unit tests for the rational serialization helpers and input checks."""
 
 from fractions import Fraction as F
 
@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ramify import InputError, format_rat, is_prime, parse_rat
-from ramify.ratio import require_prime
+from ramify.ratio import reject_unknown, require_posint, require_prime
 
 
 def test_format_fixtures():
@@ -46,6 +46,23 @@ def test_primality():
         require_prime(9)
     with pytest.raises(InputError):
         require_prime(True)
+
+
+def test_require_posint():
+    require_posint("k", 3)
+    for bad in (0, -2, True, 2.0, "3", None):
+        with pytest.raises(InputError, match=r"^k must be a positive integer, got "):
+            require_posint("k", bad)
+    with pytest.raises(InputError) as exc:
+        require_posint("relative break", 0)
+    assert str(exc.value) == "relative break must be a positive integer, got 0"
+
+
+def test_reject_unknown():
+    reject_unknown({"a": 1, "b": 2}, ("a", "b", "c"), "thing")
+    with pytest.raises(InputError) as exc:
+        reject_unknown({"a": 1, "z": 0, "y": 0}, ("a",), "thing")
+    assert str(exc.value) == "unknown thing fields: ['y', 'z']"
 
 
 @given(st.fractions())
