@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -23,6 +22,7 @@ from .errors import InputError
 from .herbrand import PLFunc, _from_points, identity_func, invert
 from .pcgroup import Element, PcGroup, Subgroup, span
 from .ratio import parse_rat
+from .record import Record
 
 __all__ = [
     "RamFiltration",
@@ -75,8 +75,7 @@ class CosetGroup:
         return sorted(images)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     level: Fraction | None = None
     witness: tuple | None = None

@@ -15,12 +15,14 @@ tower calculus below purely rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InputError
 from .ratio import format_rat, parse_rat, reject_unknown, require_posint, require_prime
+from .record import Record
 
 __all__ = [
     "PLFunc",
@@ -33,13 +35,17 @@ __all__ = [
 
 
 def _to_rat(x) -> Fraction:
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise InputError(f"expected an exact rational, got {x!r}")
 
 
-@dataclass(frozen=True)
-class PLFunc:
+_abscissa = itemgetter(0)
+
+
+class PLFunc(Record):
     """Piecewise-linear function given by breakpoints [(x, y), ...] and slopes.
 
     ``slopes`` has one more entry than ``breakpoints``: slopes[0] applies on
@@ -78,12 +84,10 @@ class PLFunc:
         x = parse_rat(x) if isinstance(x, str) else _to_rat(x)
         if x < 0:
             raise InputError(f"argument must be >= 0, got {x}")
-        prev_x, prev_y = Fraction(0), Fraction(0)
-        for k, (bx, by) in enumerate(self.breakpoints):
-            if x <= bx:
-                return prev_y + self.slopes[k] * (x - prev_x)
-            prev_x, prev_y = bx, by
-        return prev_y + self.slopes[-1] * (x - prev_x)
+        # segment k runs from breakpoint k-1 (or the origin) to breakpoint k
+        k = bisect_left(self.breakpoints, x, key=_abscissa)
+        prev_x, prev_y = self.breakpoints[k - 1] if k else (0, 0)
+        return prev_y + self.slopes[k] * (x - prev_x)
 
     __call__ = eval
 
@@ -166,14 +170,32 @@ def compose(outer: PLFunc, inner: PLFunc) -> PLFunc:
 
     Breakpoints of the result are the inner breakpoints together with the
     inner preimages of the outer breakpoints; collinear segments merge.
+    One walk over both lists, ordered by the inner function's value, finds
+    them in O(N + M).
     """
     if not isinstance(outer, PLFunc) or not isinstance(inner, PLFunc):
         raise InputError("compose expects two piecewise-linear functions")
-    inner_inv = invert(inner)
-    xs = set(inner.break_xs())
-    xs.update(inner_inv.eval(x) for x in outer.break_xs())
-    points = [(x, outer.eval(inner.eval(x))) for x in sorted(xs)]
-    return _from_points(points, outer.final_slope * inner.final_slope)
+    ibps, obps = inner.breakpoints, outer.breakpoints
+    i = j = 0
+    ix = iy = oa = ob = Fraction(0)  # last inner point (x, y), last outer point (a, b)
+    bps, slopes = [], [outer.slopes[0] * inner.slopes[0]]
+    while i < len(ibps) or j < len(obps):
+        if j == len(obps) or (i < len(ibps) and ibps[i][1] <= obps[j][0]):
+            ix, iy = ibps[i]
+            i += 1
+            x, z = ix, ob + outer.slopes[j] * (iy - oa)
+            if j < len(obps) and obps[j][0] == iy:
+                oa, ob = obps[j]
+                j += 1
+        else:
+            oa, ob = obps[j]
+            j += 1
+            x, z = ix + (oa - iy) / inner.slopes[i], ob
+        slope = outer.slopes[j] * inner.slopes[i]
+        if slope != slopes[-1]:
+            bps.append((x, z))
+            slopes.append(slope)
+    return PLFunc(tuple(bps), tuple(slopes))
 
 
 def invert(func: PLFunc) -> PLFunc:
@@ -194,28 +216,38 @@ def tower_psi(relative_breaks: Iterable[int], p) -> PLFunc:
     tower are exactly the breakpoint abscissas of the result.
 
     Transition functions compose, so the result is built directly from its
-    breakpoints (u_n, t_n): u_1 = t_1 and u_n = u_(n-1) + (t_n - t_(n-1))/p^(n-1),
-    the inverse of the tower so far evaluated at t_n.  This equals folding
-    ``compose(psi_step(t, p), psi)`` over the steps, in linear time.
+    breakpoints (u_n, t_n), with u_n from `tower_upper_breaks`.  This equals
+    folding ``compose(psi_step(t, p), psi)`` over the steps, in linear time.
     """
-    p = require_prime(p)
-    points: list[tuple[Fraction, Fraction]] = []
-    for t in relative_breaks:
-        require_posint("relative break", t)
-        t = Fraction(t)
-        if not points:
-            points.append((t, t))
-            continue
-        last_upper, last_t = points[-1]
-        if t <= last_t:
-            upper = invert(_from_points(points, p ** len(points))).eval(t)
-            raise InputError(
-                f"non-increasing filtration: upper break {upper} does not exceed {last_upper}"
-            )
-        points.append((last_upper + (t - last_t) / p ** len(points), t))
-    return _from_points(points, p ** len(points))
+    breaks = list(relative_breaks)
+    uppers = tower_upper_breaks(breaks, p)
+    return PLFunc(tuple(zip(uppers, breaks)), tuple(p**k for k in range(len(breaks) + 1)))
 
 
 def tower_upper_breaks(relative_breaks: Iterable[int], p) -> tuple[Fraction, ...]:
-    """Upper breaks of the tower, one per step, in order."""
-    return tower_psi(relative_breaks, p).break_xs()
+    """Upper breaks of the tower, one per step, in order.
+
+    u_1 = t_1 and u_n = u_(n-1) + (t_n - t_(n-1))/p^(n-1), the inverse of
+    the tower so far evaluated at t_n (Serre, *Local Fields*, ch. IV §3).
+    The recurrence runs on one integer numerator over p^(n-1); no transition
+    function is built unless a break fails to increase, whose error quotes
+    the upper break the inverse gives it.
+    """
+    p = require_prime(p)
+    breaks: list[int] = []
+    uppers: list[Fraction] = []
+    num, scale = 0, 1
+    for t in relative_breaks:
+        require_posint("relative break", t)
+        if breaks:
+            if t <= breaks[-1]:
+                raise InputError(
+                    f"non-increasing filtration: upper break "
+                    f"{invert(tower_psi(breaks, p)).eval(t)} does not exceed {uppers[-1]}"
+                )
+            num, scale = num * p + (t - breaks[-1]), scale * p
+        else:
+            num = t
+        breaks.append(t)
+        uppers.append(Fraction(num, scale))
+    return tuple(uppers)

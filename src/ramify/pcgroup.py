@@ -29,11 +29,11 @@ subgroups need p-th powers of generators only, as H/[H, G] is abelian.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, InconsistentPresentationError, InputError
 from .ratio import is_int, reject_unknown, require_posint, require_prime
+from .record import Record
 
 __all__ = [
     "PcPresentation",
@@ -67,8 +67,7 @@ def _clean_rhs(rhs, j: int, n: int, p: int, what: str) -> tuple[tuple[int, int],
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class PcPresentation:
+class PcPresentation(Record):
     """Power-commutator data; structurally validated, not consistency-checked."""
 
     p: int
@@ -290,8 +289,7 @@ class _Collector:
         return cached
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(Record):
     ok: bool
     witness: tuple[Element, Element, Element] | None = None
     detail: str = ""

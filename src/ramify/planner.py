@@ -20,13 +20,15 @@ without structure yields "undetermined".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InfeasiblePlanError, InputError
-from .herbrand import invert, psi_step, tower_psi
+# tower_psi stays bound in this module, unused, because the benchmark's span
+# recorder (bench/spans.py) wraps planner.tower_psi and planner.psi_step
+from .herbrand import psi_step, tower_psi, tower_upper_breaks  # noqa: F401
 from .ratio import format_rat, is_int, parse_rat, require_posint, require_prime
+from .record import Record
 
 __all__ = [
     "TowerPlan",
@@ -66,16 +68,16 @@ def cyclic_break_admissible(j: int, p: int, e: int, strict: bool = True) -> bool
     require_prime(p)
     require_posint("break", j)
     require_posint("ramification index", e)
-    bound = Fraction(p * e, p - 1)
-    if j > bound:
+    # j against p*e/(p-1), compared as j*(p-1) against p*e
+    scaled, bound = j * (p - 1), p * e
+    if scaled > bound:
         return False
-    if strict and j % p == 0 and j != bound:
+    if strict and j % p == 0 and scaled != bound:
         return False
     return True
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Record):
     ok: bool
     reason: str = ""
 
@@ -125,8 +127,7 @@ def break_triple_feasible(i: int, j: int, s: int, p: int, e: int) -> Feasibility
 # plan and sequence containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TowerPlan:
+class TowerPlan(Record):
     """A finite, explicit construction schedule.
 
     apf kind: base pair (i1, i) sits at nesting depths (depth-1, depth);
@@ -269,8 +270,7 @@ class TowerPlan:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class BreakSequence:
+class BreakSequence(Record):
     """Computed break data plus a certificate-backed verdict.
 
     ``levels`` is the reporting index per row; ``lower`` may be empty for
@@ -333,6 +333,12 @@ class BreakSequence:
         verdict_val = data.pop("verdict", VERDICT_UNDETERMINED)
         bound = data.pop("limit_bound", None)
         bound = None if bound is None else parse_rat(bound)
+        if bound is not None:
+            for k, u in enumerate(upper):
+                if u > bound:
+                    raise InputError(
+                        f"limit_bound {format_rat(bound)} is below upper[{k}] = {format_rat(u)}"
+                    )
         certificate = data.pop("certificate", None)
         if certificate is not None and not isinstance(certificate, str):
             raise InputError(f"certificate must be a string or null, got {certificate!r}")
@@ -362,6 +368,8 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
     i > i1 and p coprime to i - i1.  Each deeper step must be admissible at
     its own depth and may only be applied while the running upper break
     stays at or above the step's break (the transition formula's domain).
+    There a step with break b maps the running break u to the inverse of
+    its transition function at u, b + (u - b)/p; no function is built.
     """
     if plan.kind != "apf":
         raise InputError(f"apf_plan needs an apf plan, got kind {plan.kind!r}")
@@ -387,7 +395,7 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
         raise InfeasiblePlanError(
             f"p = {p} must not divide i - i1 = {i - i1}"
         )
-    upper = [invert(psi_step(i1, p)).eval(Fraction(i))]
+    upper = [i1 + Fraction(i - i1, p)]
     lower = [Fraction(i1)]
     levels = [3]
     for k in range(2, n_max + 1):
@@ -402,7 +410,7 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
                 f"transition precondition fails at level {2 * k + 1}: "
                 f"running break {format_rat(upper[-1])} < step break {brk}"
             )
-        upper.append(invert(psi_step(brk, p)).eval(upper[-1]))
+        upper.append(brk + (upper[-1] - brk) / p)
         lower.append(Fraction(brk))
         levels.append(2 * k + 1)
     if plan.scaling == "scaled":
@@ -430,8 +438,7 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
     )
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(Record):
     ok: bool
     fail_level: int | None
     v: tuple
@@ -494,6 +501,11 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
     arithmetic is unaffected).  Verdicts: geometrically decaying increments
     certify a finite bound; for custom plans a doubling schedule
     t_{n+1} = p*t_n + c certifies constant increments and an APF verdict.
+
+    Upper breaks come from `tower_upper_breaks`; the increment
+    u_(n+1) - u_n is (t_(n+1) - t_n)/p^n and the ratio of two consecutive
+    increments (t_(n+2) - t_(n+1))/(p*(t_(n+1) - t_n)), each one Fraction of
+    integers.  No transition function is built.
     """
     if plan.kind not in ("nonapf", "custom"):
         raise InputError(f"nonapf_plan needs a schedule plan, got kind {plan.kind!r}")
@@ -513,8 +525,9 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
                 f"{t} - {schedule[n - 2]}; non-normality of the step is not guaranteed"
             )
             flags[n - 1] = True
-    upper = list(tower_psi(schedule, p).break_xs())
-    diffs = [upper[k + 1] - upper[k] for k in range(len(upper) - 1)]
+    upper = tower_upper_breaks(schedule, p)
+    steps = [b - a for a, b in itertools.pairwise(schedule)]
+    diffs = [Fraction(d, p ** (k + 1)) for k, d in enumerate(steps)]
     verdict_val, bound, cert = VERDICT_UNDETERMINED, None, None
     if plan.kind == "custom":
         doubling_c = _doubling_constant(schedule, p)
@@ -525,7 +538,7 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
                 f"increments are constant at {format_rat(diffs[0])} > 0"
             )
     if verdict_val == VERDICT_UNDETERMINED and len(diffs) >= 2:
-        ratios = [Fraction(diffs[k + 1], 1) / diffs[k] for k in range(len(diffs) - 1)]
+        ratios = [Fraction(b, p * a) for a, b in itertools.pairwise(steps)]
         # never below 1/p, the ratio of the continuation that repeats the last difference
         r = max(ratios + [Fraction(1, p)])
         if r < 1:
@@ -538,7 +551,7 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
     return BreakSequence(
         levels=tuple(range(1, len(schedule) + 1)),
         lower=tuple(Fraction(t) for t in schedule),
-        upper=tuple(upper),
+        upper=upper,
         verdict=verdict_val,
         limit_bound=bound,
         certificate=cert,

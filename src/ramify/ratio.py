@@ -19,7 +19,8 @@ _RAT_RE = re.compile(r"[+-]?\d+(?:/[+-]?\d+)?")
 
 def format_rat(value: Fraction) -> str:
     """Serialize a rational as "num" or "num/den" (reduced, den > 0)."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

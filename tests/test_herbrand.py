@@ -16,6 +16,7 @@ from ramify import (
     tower_psi,
     tower_upper_breaks,
 )
+from ramify.herbrand import _from_points
 from ramify.ratio import require_prime
 
 # -- construction and invariants -------------------------------------------
@@ -216,3 +217,74 @@ def test_tower_upper_breaks_recurrence_at_horizon_400():
         uppers.append(uppers[-1] + F(2, 3 ** (n - 1)))
     assert tower_upper_breaks(schedule, 3) == tuple(uppers)
     assert tower_psi(schedule, 3).slopes == tuple(F(3**n) for n in range(401))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(schedules, st.just([])), st.sampled_from([2, 3, 5, 7]))
+def test_tower_upper_breaks_match_tower_psi_and_step_fold(schedule, p):
+    expected = _outcome(lambda: tower_psi(schedule, p).break_xs())
+    assert _outcome(tower_upper_breaks, schedule, p) == expected
+    assert expected == _outcome(lambda: _fold_tower_psi(schedule, p).break_xs())
+
+
+# -- compose and eval against the pointwise forms --------------------------------
+
+
+def _linear_eval(func, x):
+    """Reference: scan the breakpoints in order."""
+    prev_x, prev_y = F(0), F(0)
+    for k, (bx, by) in enumerate(func.breakpoints):
+        if x <= bx:
+            return prev_y + func.slopes[k] * (x - prev_x)
+        prev_x, prev_y = bx, by
+    return prev_y + func.slopes[-1] * (x - prev_x)
+
+
+def _pointwise_compose(outer, inner):
+    """Reference: evaluate at the inner breakpoints and the inner preimages
+    of the outer breakpoints, then merge collinear segments."""
+    if not isinstance(outer, PLFunc) or not isinstance(inner, PLFunc):
+        raise InputError("compose expects two piecewise-linear functions")
+    inner_inv = invert(inner)
+    xs = set(inner.break_xs())
+    xs.update(_linear_eval(inner_inv, x) for x in outer.break_xs())
+    points = [(x, _linear_eval(outer, _linear_eval(inner, x))) for x in sorted(xs)]
+    return _from_points(points, outer.final_slope * inner.final_slope)
+
+
+@st.composite
+def plfuncs(draw):
+    """Arbitrary normalized functions, p-power towers, and single steps."""
+    kind = draw(st.sampled_from(["points", "tower", "step"]))
+    if kind == "tower":
+        start = draw(st.integers(min_value=1, max_value=9))
+        deltas = draw(st.lists(st.integers(min_value=1, max_value=12), max_size=8))
+        return tower_psi([start + sum(deltas[:k]) for k in range(len(deltas) + 1)],
+                         draw(st.sampled_from([2, 3, 5])))
+    if kind == "step":
+        return psi_step(draw(st.integers(min_value=1, max_value=30)), draw(st.sampled_from([2, 3])))
+    positive = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8)
+    dxs = draw(st.lists(positive, max_size=6))
+    slopes = draw(st.lists(positive, min_size=len(dxs) + 1, max_size=len(dxs) + 1))
+    points, x, y = [], F(0), F(0)
+    for dx, slope in zip(dxs, slopes):
+        x, y = x + dx, y + slope * dx
+        points.append((x, y))
+    return _from_points(points, slopes[-1])
+
+
+compose_args = st.one_of(plfuncs(), plfuncs(), plfuncs(), st.just(None), st.just(F(1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(compose_args, compose_args, st.fractions(min_value=0, max_value=200))
+def test_compose_matches_pointwise_compose(outer, inner, x):
+    result = _outcome(compose, outer, inner)
+    assert result == _outcome(_pointwise_compose, outer, inner)
+    if isinstance(result, PLFunc):
+        assert result.eval(x) == _linear_eval(result, x) == outer.eval(inner.eval(x))
+        # every segment of a function against its inverse is collinear
+        assert compose(outer, invert(outer)) == identity_func()
+        assert compose(invert(inner), inner) == identity_func()
+        for bx in result.break_xs():
+            assert result.eval(bx) == _linear_eval(result, bx)

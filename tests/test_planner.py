@@ -11,6 +11,7 @@ from ramify import (
     FeasibilityResult,
     InfeasiblePlanError,
     InputError,
+    PLFunc,
     TowerPlan,
     apf_plan,
     closed_form_check,
@@ -20,9 +21,12 @@ from ramify import (
     break_triple_feasible,
     nonapf_plan,
     repair_merge,
+    tower_psi,
     tower_upper_breaks,
     verdict,
 )
+from ramify.herbrand import invert, psi_step
+from ramify.planner import _doubling_constant
 
 # -- admissibility and feasibility -------------------------------------------
 
@@ -96,6 +100,26 @@ def test_break_sequence_round_trip():
     assert [back.flag_at(k) for k in range(2)] == [seq.flag_at(k) for k in range(2)]
     with pytest.raises(InputError):
         BreakSequence((1,), (), (F(1), F(2)))
+    # a bound that the sequence's own breaks exceed certifies nothing
+    data["limit_bound"] = "3/2"
+    with pytest.raises(InputError, match=r"limit_bound 3/2 is below upper\[1\] = 2"):
+        BreakSequence.from_json_dict(data)
+
+
+def test_records_are_frozen_values():
+    import pickle
+
+    plan = TowerPlan("apf", 2, 2, depth=3, eps=(1,), base_i1=5, base_i=16)
+    same = TowerPlan(kind="apf", p=2, e0=2, depth=3, eps=(1,), base_i1=5, base_i=16)
+    assert plan == same and hash(plan) == hash(same) and plan != plan.to_json_dict()
+    assert repr(FeasibilityResult(True)) == "FeasibilityResult(ok=True, reason='')"
+    assert pickle.loads(pickle.dumps(plan)) == plan
+    with pytest.raises(AttributeError):
+        plan.depth = 4
+    with pytest.raises(TypeError, match="missing field 'e0'"):
+        TowerPlan("apf", 2)
+    with pytest.raises(TypeError, match="unknown or repeated field 'p'"):
+        TowerPlan("apf", 2, 2, p=3)
 
 
 # -- apf recursion ---------------------------------------------------------------
@@ -364,3 +388,190 @@ def test_merge_idempotent(row):
     assert all(merged.flags)  # identical inputs collide everywhere
     again = compositum_merge([merged, merged])
     assert again.upper == merged.upper
+
+
+# -- integer break arithmetic against the PLFunc-based forms ---------------------
+
+
+def _fraction_admissible(j, p, e, strict=True):
+    """Reference: j against the Fraction bound p*e/(p-1)."""
+    bound = F(p * e, p - 1)
+    if j > bound:
+        return False
+    return not (strict and j % p == 0 and j != bound)
+
+
+def test_cyclic_break_admissible_matches_fraction_bound():
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(1, 41):
+            for j in range(1, p * e // (p - 1) + 4):
+                for strict in (True, False):
+                    assert cyclic_break_admissible(j, p, e, strict) == _fraction_admissible(
+                        j, p, e, strict
+                    )
+
+
+def _plfunc_apf_plan(plan):
+    """Reference: apf_plan stepping through invert(psi_step(b, p))."""
+    p, e0, n_max = plan.p, plan.e0, plan.depth
+    if plan.scaling == "scaled":
+        e_i1, e_top = p ** (n_max - 1) * e0, p**n_max * e0
+    else:
+        e_i1, e_top = e0, p * e0
+    i1, i = plan.base_i1, plan.base_i
+    if not _fraction_admissible(i1, p, e_i1, strict=plan.strict):
+        raise InfeasiblePlanError(f"base break i1 = {i1} is inadmissible over index {e_i1}")
+    if not _fraction_admissible(i, p, e_top, strict=False):
+        raise InfeasiblePlanError(f"base break i = {i} exceeds the cyclic bound at index {e_top}")
+    if i <= i1:
+        raise InfeasiblePlanError(f"base requires i > i1, got i = {i}, i1 = {i1}")
+    if (i - i1) % p == 0:
+        raise InfeasiblePlanError(f"p = {p} must not divide i - i1 = {i - i1}")
+    upper, lower, levels = [invert(psi_step(i1, p)).eval(F(i))], [F(i1)], [3]
+    for k in range(2, n_max + 1):
+        brk, e_k = plan.step_break(k), plan.step_index(k)
+        if not _fraction_admissible(brk, p, e_k, strict=plan.strict):
+            raise InfeasiblePlanError(
+                f"step break {brk} at level {2 * k + 1} is inadmissible over index {e_k}"
+            )
+        if upper[-1] < brk:
+            raise InfeasiblePlanError(
+                f"transition precondition fails at level {2 * k + 1}: "
+                f"running break {upper[-1]} < step break {brk}"
+            )
+        upper.append(invert(psi_step(brk, p)).eval(upper[-1]))
+        lower.append(F(brk))
+        levels.append(2 * k + 1)
+    if plan.scaling == "scaled":
+        verdict_val, bound = "APF", None
+        cert = (
+            f"depth-scaled levels with bounded defects: upper-break increments "
+            f"approach e0 = {e0} > 0, so the sequence is unbounded"
+        )
+    else:
+        verdict_val, bound = "non-APF", max(upper[0], max(lower))
+        cert = (
+            "flat levels: each step contracts the running break toward its own "
+            f"break, so the sequence never exceeds {bound}"
+        )
+    return BreakSequence(tuple(levels), tuple(lower), tuple(upper), verdict_val, bound, cert,
+                         tuple(False for _ in upper))
+
+
+def _plfunc_nonapf_plan(plan):
+    """Reference: nonapf_plan reading the upper breaks off tower_psi and
+    dividing consecutive differences of them."""
+    p, e0 = plan.p, plan.e0
+    schedule = list(plan.schedule)
+    warnings, flags = [], [False] * len(schedule)
+    for n, t in enumerate(schedule, start=1):
+        e_n = p ** (n - 1) * e0
+        if not _fraction_admissible(t, p, e_n, strict=plan.strict):
+            raise InfeasiblePlanError(f"break {t} at level {n} is inadmissible over index {e_n}")
+        if n >= 2 and (t - schedule[n - 2]) % p == 0:
+            warnings.append(
+                f"level {n}: p = {p} divides the break difference "
+                f"{t} - {schedule[n - 2]}; non-normality of the step is not guaranteed"
+            )
+            flags[n - 1] = True
+    upper = list(tower_psi(schedule, p).break_xs())
+    diffs = [upper[k + 1] - upper[k] for k in range(len(upper) - 1)]
+    verdict_val, bound, cert = "undetermined", None, None
+    if plan.kind == "custom":
+        doubling_c = _doubling_constant(schedule, p)
+        if doubling_c is not None and diffs and all(d == diffs[0] for d in diffs):
+            verdict_val = "APF"
+            cert = (
+                f"doubling schedule t_(n+1) = {p}*t_n + {doubling_c}: upper-break "
+                f"increments are constant at {diffs[0]} > 0"
+            )
+    if verdict_val == "undetermined" and len(diffs) >= 2:
+        ratios = [F(diffs[k + 1], 1) / diffs[k] for k in range(len(diffs) - 1)]
+        r = max(ratios + [F(1, p)])
+        if r < 1:
+            verdict_val = "non-APF"
+            bound = upper[-1] + diffs[-1] * r / (1 - r)
+            cert = (
+                f"increment ratios stay at or below {r} < 1; geometric "
+                f"tail bounds the sequence by {bound}"
+            )
+    return BreakSequence(tuple(range(1, len(schedule) + 1)), tuple(F(t) for t in schedule),
+                         tuple(upper), verdict_val, bound, cert, tuple(flags), tuple(warnings))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+_primes = st.sampled_from([2, 3, 5, 7])
+
+_increasing = st.builds(
+    lambda start, deltas: tuple(start + sum(deltas[:k]) for k in range(len(deltas) + 1)),
+    st.integers(min_value=1, max_value=20),
+    st.lists(st.integers(min_value=1, max_value=30), max_size=14),
+)
+
+
+@st.composite
+def _schedule_plans(draw):
+    p = draw(_primes)
+    if draw(st.booleans()):
+        schedule = draw(_increasing)
+    else:  # doubling: t_(n+1) = p*t_n + c, the custom kind's APF case
+        t, c = draw(st.integers(min_value=1, max_value=10)), draw(st.integers(1, 5))
+        schedule = [t]
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            schedule.append(p * schedule[-1] + c)
+    return TowerPlan(draw(st.sampled_from(["nonapf", "custom"])), p,
+                     draw(st.integers(min_value=1, max_value=40)),
+                     schedule=tuple(schedule), strict=draw(st.booleans()))
+
+
+@st.composite
+def _apf_plans(draw):
+    # e0 a multiple of p - 1 keeps the step breaks integral, and bases drawn
+    # up to just past their cyclic bounds are mostly feasible
+    p, m = draw(_primes), draw(st.integers(min_value=1, max_value=4))
+    e0, depth = draw(st.sampled_from([(p - 1) * m, m])), draw(st.integers(1, 8))
+    scaling = draw(st.sampled_from(["scaled", "flat"]))
+    top = p * (p**depth * e0 if scaling == "scaled" else p * e0) // (p - 1)
+    i1 = draw(st.integers(min_value=1, max_value=top // p + 1))
+    return TowerPlan(
+        "apf", p, e0, depth=depth,
+        eps=tuple(draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))),
+        base_i1=i1, base_i=draw(st.integers(min_value=i1 + 1, max_value=top + 1)),
+        scaling=scaling, strict=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_schedule_plans())
+def test_nonapf_plan_matches_plfunc_form(plan):
+    assert _outcome(nonapf_plan, plan) == _outcome(_plfunc_nonapf_plan, plan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_apf_plans())
+def test_apf_plan_matches_plfunc_form(plan):
+    assert _outcome(apf_plan, plan) == _outcome(_plfunc_apf_plan, plan)
+
+
+def test_plans_build_no_transition_function(monkeypatch):
+    built = []
+    post_init = PLFunc.__post_init__
+    monkeypatch.setattr(PLFunc, "__post_init__", lambda self: built.append(post_init(self)))
+    plans = [
+        TowerPlan("nonapf", 3, 10, schedule=tuple(range(1, 240, 2)), strict=False),
+        TowerPlan("custom", 2, 2, schedule=(1, 3, 7, 15, 31)),
+        TowerPlan("apf", 2, 2, depth=15, eps=(1,), base_i1=5, base_i=2**17),
+        TowerPlan("apf", 2, 2, depth=2, eps=(1,), base_i1=4, base_i=5, scaling="flat",
+                  strict=False),
+    ]
+    for plan in plans:
+        evaluate_plan(plan)
+    assert built == []
+    tower_psi([1, 3], 2)
+    assert len(built) == 1  # the counter sees every construction
