@@ -13,10 +13,10 @@ pushed where an exponent reaches p.  Letters are handled in the order of
 rewriting the leftmost out-of-order letter of the word x y first.
 
 Consistency (the collected product being associative on all p^n normal
-forms) is decided by the standard overlap tests on generator and power
-triples (Wamsley / Vaughan-Lee); only on request is it verified again
-against the full product table by Light's test.  All failure paths report
-an explicit witness triple.
+forms) is decided by the overlap tests of weight at most the class (Wamsley;
+Vaughan-Lee; see ``consistency_check``), and on request again by Light's
+test on the full product table.  Every failure reports the first failing
+test of the full list as its witness triple.
 
 Every subgroup (closures, normal closures, both series, the Frattini
 subgroup) is grown from generators by ``span`` as an induced polycyclic
@@ -89,22 +89,16 @@ class PcPresentation(Record):
         """
         p = require_prime(p)
         require_posint("generator count", n)
-        power = dict(power or {})
-        comm = dict(comm or {})
-        pow_rows = []
-        for j in range(1, n + 1):
-            pow_rows.append(_clean_rhs(power.pop(j, {}), j, n, p, f"power a_{j}^{p}"))
+        power, comm = dict(power or {}), dict(comm or {})
+        pow_rows = tuple(_clean_rhs(power.pop(j, {}), j, n, p, f"power a_{j}^{p}")
+                         for j in range(1, n + 1))
         if power:
             raise InputError(f"power relations for unknown generators: {sorted(power)}")
-        comm_rows = []
-        for j in range(1, n + 1):
-            for i in range(1, j):
-                comm_rows.append(
-                    _clean_rhs(comm.pop((j, i), {}), j, n, p, f"comm [a_{j}, a_{i}]")
-                )
+        comm_rows = tuple(_clean_rhs(comm.pop((j, i), {}), j, n, p, f"comm [a_{j}, a_{i}]")
+                          for j in range(2, n + 1) for i in range(1, j))
         if comm:
             raise InputError(f"commutator relations for bad pairs: {sorted(comm)}")
-        return cls(p, n, tuple(pow_rows), tuple(comm_rows))
+        return cls(p, n, pow_rows, comm_rows)
 
     def power_rhs(self, j: int) -> tuple[tuple[int, int], ...]:
         return self.power[j - 1]
@@ -298,26 +292,48 @@ class ConsistencyResult(Record):
         return self.ok
 
 
-def _overlap_triples(pres: PcPresentation) -> Iterable[tuple[Element, Element, Element]]:
+def _weights(pres: PcPresentation) -> list[int] | None:
+    """The least weights the relations allow, w_k >= w_j + w_i for a_k in the
+    rhs of [a_j, a_i] and w_k >= w_j + 1 in that of a_j^p, in one ascending
+    pass (every rhs lies above its j); None where ``consistency_check``'s
+    theorem does not apply."""
+    w, comm = [1] * pres.n, iter(pres.comm)
+    for j in range(pres.n):
+        for k, _ in pres.power[j]:
+            w[k - 1] = max(w[k - 1], w[j] + 1)
+        for i in range(j):
+            for k, _ in next(comm):
+                w[k - 1] = max(w[k - 1], w[j] + w[i])
+    return None if max(w) > 2 and any(a > b for a, b in zip(w, w[1:])) else w
+
+
+def _overlap_triples(pres: PcPresentation, weights: list[int] | None = None
+                     ) -> Iterable[tuple[Element, Element, Element]]:
     """Associativity instances that decide consistency for collection.
 
     These are the classical overlap tests: generator triples a_k, a_j, a_i
     (k > j > i) and the power overlaps a_j^p against neighbours and itself.
+    Given ``weights``, only the tests of weight at most their maximum c, in
+    the same order; without, all of them (zero weights pass every bound).
     """
     n, p = pres.n, pres.p
+    w, c = (weights, max(weights)) if weights else ([0] * n, 1)
     # a_j and a_j^(p-1), indexed from 0
     gen = [pres.generator(j) for j in range(1, n + 1)]
     power_word = [tuple(p - 1 if e else 0 for e in a) for a in gen]
     for j in range(n):
-        yield gen[j], power_word[j], gen[j]
+        if 2 * w[j] + 1 <= c:
+            yield gen[j], power_word[j], gen[j]
     for j in range(1, n):
         for i in range(j):
-            yield power_word[j], gen[j], gen[i]
-            yield gen[j], power_word[i], gen[i]
+            if w[j] + w[i] + 1 <= c:
+                yield power_word[j], gen[j], gen[i]
+                yield gen[j], power_word[i], gen[i]
     for k in range(2, n):
         for j in range(1, k):
             for i in range(j):
-                yield gen[k], gen[j], gen[i]
+                if w[k] + w[j] + w[i] <= c:
+                    yield gen[k], gen[j], gen[i]
 
 
 def consistency_check(
@@ -325,17 +341,37 @@ def consistency_check(
 ) -> ConsistencyResult:
     """Decide whether collection defines a group of order p^n.
 
-    The overlap triples are always checked, and they decide consistency.
-    Only ``exhaustive=True`` also builds the full product table and runs
-    Light's test on it (generator middles suffice, as the pc generators
-    generate the group); it can never fail where the overlaps passed.  ``coll`` lends
-    the collector (and product cache) to use.  Failures carry a witness.
+    Theorem (Vaughan-Lee, "An aspect of the nilpotent quotient algorithm",
+    1984; Holt, Eick and O'Brien, ch. 9): let weights w_1 <= ... <= w_n put
+    the rhs of [a_j, a_i] in weight >= w_j + w_i and that of a_j^p in weight
+    >= w_j + 1, and let c = max w.  Then the presentation is consistent iff
+    the overlap tests of weight at most c hold: a_k, a_j, a_i with
+    w_k + w_j + w_i <= c, both power overlaps of j > i with
+    w_j + w_i + 1 <= c, and a_j, a_j^(p-1), a_j with 2 w_j + 1 <= c.  For
+    c <= 2 no test is left, in any order of the weights: the weight-2
+    generators span a central V of exponent p holding every rhs, so the
+    relations are a linear image in V of the p-multiplicator of (Z/p)^d, of
+    rank d + C(d, 2), and the p-covering group of (Z/p)^d pushed out along
+    it is a group of order p^n satisfying them.  Here w are the least
+    weights (``_weights``).  With c > 2 and falling weights, or once a test
+    fails or a product passes the collection step limit, the full list runs
+    in its own order, so verdict, witness and error are the full scan's.
+    ``exhaustive=True`` also runs Light's test on the full product table
+    (generator middles suffice, as the pc generators generate the group).
+    ``coll`` lends the collector (and product cache) to use.
     """
-    coll = coll or _Collector(pres)
-    prod = coll.product
-    for x, y, z in _overlap_triples(pres):
-        if prod(prod(x, y), z) != prod(x, prod(y, z)):
-            return ConsistencyResult(False, (x, y, z), "overlap test failed")
+    prod = (coll or _Collector(pres)).product
+
+    def first_failure(triples):
+        return next(((x, y, z) for x, y, z in triples
+                     if prod(prod(x, y), z) != prod(x, prod(y, z))), None)
+
+    try:
+        failed = first_failure(_overlap_triples(pres, _weights(pres))) is not None
+    except CapExceededError:  # the full scan meets the same limit, or a failing test first
+        failed = True
+    if failed:
+        return ConsistencyResult(False, first_failure(_overlap_triples(pres)), "overlap test failed")
     order = pres.order
     if exhaustive or (exhaustive is None and cap < order <= _TABLE_VERIFY_LIMIT):
         if order > cap or order > 2**12:
@@ -506,6 +542,7 @@ class PcGroup:
         self.cap = cap
         self._coll = _Collector(pres)
         self._elements: list[Element] | None = None
+        self._gamma: list[Subgroup] | None = None
         if not _checked:
             result = consistency_check(pres, cap=cap, coll=self._coll)
             if not result.ok:
@@ -555,10 +592,7 @@ class PcGroup:
         return p(p(p(self.inverse(x), self.inverse(y)), x), y)
 
     def power_p(self, x: Element) -> Element:
-        acc = x
-        for _ in range(self.p - 1):
-            acc = self.product(acc, x)
-        return acc
+        return _powers(self, x, self.p + 1)[-1]
 
     def _require_cap(self) -> None:
         if self.order > self.cap:
@@ -618,8 +652,10 @@ class PcGroup:
         return series
 
     def lower_central_series(self) -> list[Subgroup]:
-        """G = gamma_1 >= gamma_2 = [G, G] >= ... down to the trivial subgroup."""
-        return self._descending_series(False, "lower central series")
+        """G = gamma_1 >= gamma_2 = [G, G] >= ... >= 1, built on first use."""
+        if self._gamma is None:
+            self._gamma = self._descending_series(False, "lower central series")
+        return self._gamma
 
     def lower_p_series(self) -> list[Subgroup]:
         """P_0 = G, P_{m+1} = P_m^p [P_m, G], down to the trivial subgroup."""

@@ -334,6 +334,8 @@ class BreakSequence(Record):
         bound = data.pop("limit_bound", None)
         bound = None if bound is None else parse_rat(bound)
         if bound is not None:
+            if verdict_val == VERDICT_APF:
+                raise InputError("an APF sequence cannot carry a limit_bound")
             for k, u in enumerate(upper):
                 if u > bound:
                     raise InputError(
@@ -621,7 +623,8 @@ def compositum_merge(seqs: Sequence[BreakSequence]) -> BreakSequence:
             f"input {idx + 1} carries an APF certificate and strictly dominates "
             f"the merge from position {k0 + 1} on"
         )
-    elif all(s.verdict == VERDICT_NON_APF and s.limit_bound is not None for s in seqs):
+    elif all(s.verdict == VERDICT_NON_APF and s.limit_bound is not None
+             and s.certificate is not None for s in seqs):
         verdict_val = VERDICT_NON_APF
         bound = max(s.limit_bound for s in seqs)
         cert = "every input is bounded; the merge is bounded by the largest bound"
@@ -661,8 +664,9 @@ def _dominating_apf_tail(seqs, merged, flags):
 def repair_merge(base: BreakSequence, family_bounds: Sequence) -> BreakSequence:
     """Raise each upper break to at least a caller-supplied family bound.
 
-    A strictly increasing family certifies unboundedness of the merged
-    sequence; an all-zero family leaves the base untouched.
+    An arithmetic family (all steps equal and positive) certifies that the
+    merged sequence is unbounded; an all-zero family leaves the base
+    untouched.  Any other family, converging or not, is undetermined.
     """
     fam = [parse_rat(b) for b in family_bounds]
     if len(fam) != base.horizon:
@@ -673,15 +677,15 @@ def repair_merge(base: BreakSequence, family_bounds: Sequence) -> BreakSequence:
         if b < 0:
             raise InputError(f"family bounds must be nonnegative, got {format_rat(b)}")
     merged = tuple(max(base.upper[k], fam[k]) for k in range(base.horizon))
+    steps = {b - a for a, b in zip(fam, fam[1:])}
     if base.verdict == VERDICT_APF:
         verdict_val, bound, cert = VERDICT_APF, None, base.certificate
     elif all(b == 0 for b in fam):
         verdict_val, bound, cert = base.verdict, base.limit_bound, base.certificate
-    elif len(fam) >= 2 and all(fam[k + 1] > fam[k] for k in range(len(fam) - 1)):
-        min_step = min(fam[k + 1] - fam[k] for k in range(len(fam) - 1))
+    elif len(steps) == 1 and min(steps) > 0:
         verdict_val, bound = VERDICT_APF, None
         cert = (
-            f"family bounds strictly increase (smallest step {format_rat(min_step)}); "
+            f"family bounds strictly increase (smallest step {format_rat(min(steps))}); "
             f"the merged sequence exceeds every bound"
         )
     else:

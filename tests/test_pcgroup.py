@@ -20,7 +20,7 @@ from ramify import (
     shipped_truncations,
 )
 from ramify.cli import main
-from ramify.pcgroup import span
+from ramify.pcgroup import _Collector, _overlap_triples, _weights, span
 
 
 def _heis(p):
@@ -144,10 +144,75 @@ def test_overlap_verdict_matches_exhaustive(pres):
         assert (fast.witness, fast.detail) == (full.witness, full.detail)
 
 
+@st.composite
+def _weighted_presentations(draw):
+    """Presentations of weighted class 1 to 4 over p in {2, 3, 5}, n <= 7,
+    consistent or not.  Weights rise by at most 1 from w_1 = 1, and each
+    generator above weight 1 gets a defining relation, so the least weights
+    are the drawn ones; further rhs entries respect them.  In one draw of
+    five the relations are laid on shuffled weights instead."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 7 if p < 5 else 6))
+    w = [1]
+    for _ in range(n - 1):
+        w.append(min(4, w[-1] + draw(st.integers(0, 1))))
+    shuffled = draw(st.integers(0, 4)) == 0
+    if shuffled:
+        w = draw(st.permutations(w))
+    power = {j: {} for j in range(1, n + 1)}
+    comm = {(j, i): {} for j in range(2, n + 1) for i in range(1, j)}
+    rows = [(power[j], w[j - 1] + 1, j) for j in power]
+    rows += [(comm[j, i], w[j - 1] + w[i - 1], j) for j, i in comm]
+    for k in range(2, n + 1):
+        defining = [row for row, least, j in rows if least == w[k - 1] and j < k]
+        if defining and not shuffled:
+            draw(st.sampled_from(defining))[k] = 1
+    for row, least, j in rows:
+        above = [k for k in range(j + 1, n + 1) if w[k - 1] >= least]
+        if above and draw(st.integers(0, 2)) == 0:
+            row[draw(st.sampled_from(above))] = draw(st.integers(1, p - 1))
+    return PcPresentation.build(p, n, power, comm)
+
+
+def _full_scan(pres):
+    """Every overlap test in order, the first failing one as witness."""
+    prod = _Collector(pres).product
+    for x, y, z in _overlap_triples(pres):
+        if prod(prod(x, y), z) != prod(x, prod(y, z)):
+            return False, (x, y, z), "overlap test failed"
+    return True, None, "consistent"
+
+
+@example(pres=build_tower_truncation(3, 4))
+@example(pres=PcPresentation.build(2, 4, comm={(2, 1): {3: 1}, (3, 1): {4: 1}}))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pres=_weighted_presentations())
+def test_overlap_tests_by_weight_match_full_scan(pres):
+    fast = consistency_check(pres)
+    assert (fast.ok, fast.witness, fast.detail) == _full_scan(pres)
+
+
+def test_least_weights():
+    assert _weights(build_tower_truncation(3, 4)) == [1, 1, 2, 3]
+    # class 2 in any order: a_1^3 = a_2 puts a weight-2 generator before a_3
+    assert _weights(PcPresentation.build(3, 3, power={1: {2: 1}})) == [1, 2, 1]
+    # class 3 with a_4 of weight 1 after a_3 of weight 3: the full scan runs
+    assert _weights(PcPresentation.build(3, 4, power={1: {2: 1}, 2: {3: 1}})) is None
+
+
+def test_order_3_40_class_2_load_is_fast():
+    pres = _class2(3, 10, 40)[0]
+    start = time.perf_counter()
+    # the full scan ran 11,480 overlap tests in about 0.25 s; class 2 needs none
+    PcGroup(pres, cap=3**40)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_group_load_builds_no_product_table():
-    g = _heis(5)
-    # the load-time check collects into the group's own cache
-    assert 0 < len(g._coll._cache) < 125**2 // 100
+    # a class-2 load runs no overlap test (the full scan collected 26 products),
+    # a class-3 load only those of weight at most 3 (the full scan collected 48)
+    assert len(_heis(5)._coll._cache) == 0
+    assert 0 < len(PcGroup(build_tower_truncation(3, 4))._coll._cache) < 48
     # the cap error of the retired default table remains, up to order 256 only
     with pytest.raises(CapExceededError, match="table of 125\\^2 products"):
         consistency_check(build_heisenberg(5), cap=100)
@@ -612,11 +677,15 @@ def test_collector_matches_word_rewriting(case):
 
 def test_collection_step_limit(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr("ramify.pcgroup._MAX_COLLECT_STEPS", 2)
+    # a class-3 load meets the limit in its overlap tests; a class-2 load
+    # runs none, so its series meets it
     with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
-        _heis(3)
+        PcGroup(PcPresentation.build(3, 4, comm={(2, 1): {3: 1}, (3, 2): {4: 1}}))
+    with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
+        _heis(3).lower_central_series()
     path = tmp_path / "heis.json"
     path.write_text(json.dumps(build_heisenberg(3).to_json_dict()))
-    assert main(["group", "check", "--file", str(path)]) == 4
+    assert main(["group", "series", "--file", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"code": "cap-exceeded",

@@ -104,6 +104,10 @@ def test_break_sequence_round_trip():
     data["limit_bound"] = "3/2"
     with pytest.raises(InputError, match=r"limit_bound 3/2 is below upper\[1\] = 2"):
         BreakSequence.from_json_dict(data)
+    # an APF sequence has no limit to bound
+    data.update(limit_bound="3", verdict="APF")
+    with pytest.raises(InputError, match="an APF sequence cannot carry a limit_bound"):
+        BreakSequence.from_json_dict(data)
 
 
 def test_records_are_frozen_values():
@@ -321,6 +325,10 @@ def test_merge_all_bounded():
     merged = compositum_merge([a, b])
     assert merged.verdict == "non-APF"
     assert merged.limit_bound == F(3)
+    # a bound without a certificate proves nothing
+    uncertified = _seq([1, 2, F(5, 2)], "non-APF", F(3))
+    merged = compositum_merge([a, uncertified])
+    assert (merged.verdict, merged.limit_bound, merged.certificate) == ("undetermined", None, None)
 
 
 def test_repair_merge_fixtures():
@@ -331,6 +339,10 @@ def test_repair_merge_fixtures():
     unchanged = repair_merge(base, [0, 0, 0, 0])
     assert unchanged.upper == base.upper
     assert unchanged.verdict == base.verdict
+    # only equal positive steps certify growth: a converging or a doubling
+    # family says nothing about the tail
+    for family in ([1, F(3, 2), F(7, 4), F(15, 8)], [1, 2, 4, 8], [1, 2, 3, 3]):
+        assert repair_merge(base, family).verdict == "undetermined"
     with pytest.raises(InputError):
         repair_merge(base, [1, 2])
 
