@@ -112,14 +112,14 @@ class RamFiltration:
                 raise InputError("the identity carries no finite value")
             if x not in members:
                 raise InputError(f"element {x} does not belong to the group")
-            v = parse_rat(v)
-            values[x] = v
+            values[x] = parse_rat(v)
+        fill = None  # ``default``, parsed at the first element it fills
         for x in group.elements():
             if x == identity or x in values:
                 continue
             if default is None:
                 raise InputError(f"no value for element {x} and no default given")
-            values[x] = parse_rat(default)
+            values[x] = fill = parse_rat(default) if fill is None else fill
         for x, v in values.items():
             if v <= 0:
                 raise InputError(f"value for {x} must be positive, got {v}")
@@ -139,16 +139,15 @@ class RamFiltration:
     @functools.cached_property
     def levels(self) -> list[tuple[Fraction, int, Subgroup]]:
         """(v, |S|, span(S)) for each distinct value v, increasing, where S
-        holds the identity and the elements of value >= v.  Each span grows
-        from the rows of the level above and the elements of value exactly v."""
+        holds the identity and the elements of value >= v.  Each span extends
+        the span of the level above by the elements of value exactly v."""
         exact: dict[Fraction, list[Element]] = {}
         for x, v in self.ig.items():
             exact.setdefault(v, []).append(x)
-        chain, size, rows = [], 1, []
+        chain, size, sub = [], 1, None
         for v in sorted(exact, reverse=True):
             size += len(exact[v])
-            sub = span(self.group, rows + exact[v])
-            rows = list(sub.rows)
+            sub = span(self.group, exact[v], base=sub)
             chain.append((v, size, sub))
         return chain[::-1]
 
@@ -178,8 +177,14 @@ class RamFiltration:
 
     def validate(self) -> ValidationReport:
         """Each level set is closed iff its span has its member count, and
-        then normal iff the span is.  Only on failure are the members listed
-        and scanned pairwise for the witness."""
+        then normal iff the span is: from the smallest level up, iff its rows
+        beyond the (normal) level above conjugate into it.  Only on a failure
+        are the levels checked in full from G down, and the failing level's
+        members listed and scanned pairwise for the witness."""
+        subs = [None] + [sub for _, _, sub in self.levels[::-1]]  # from the smallest up
+        if all(sub.order == size and sub.is_normal(above)
+               for (_, size, sub), above in zip(self.levels[::-1], subs)):
+            return ValidationReport(True)
         g = self.group
         for v, size, sub in self.levels:
             if sub.order == size and sub.is_normal():
@@ -229,19 +234,24 @@ def quotient_filtration(rf: RamFiltration, kernel: Subgroup) -> RamFiltration:
     """Filtration on Q = G/N whose upper level sets are the images of G's.
 
     ``rf`` must be valid (the CLI loads it checked), so each level's image is
-    spanned by its rows' images.  The level of value v is G's upper level
-    at u = phi(v - 1).  Where the image drops below the next one, psi_Q gains
-    slope (Q : image) up to u, and the cosets it loses take psi_Q(u) + 1.
+    the image below extended by the projected rows beyond the level below.
+    The level of value v is G's upper level at u = phi(v - 1).  Where the
+    image drops below the next one, psi_Q gains slope (Q : image) up to u,
+    and the cosets it loses take psi_Q(u) + 1.
     """
     group = rf.group
     if not isinstance(group, PcGroup):
         raise InputError("quotients are taken of presented groups only")
     quot = CosetGroup(group, kernel)
     phi = rf.herbrand_func()
-    images = [span(quot, [quot.project(r) for r in sub.rows]) for _, _, sub in rf.levels]
+    images, lower = [span(quot, [])], None
+    for _, _, sub in reversed(rf.levels):
+        images.append(span(quot, map(quot.project, sub.rows_beyond(lower)), base=images[-1]))
+        lower = sub
+    images.reverse()
     ig_q: dict[Element, Fraction] = {}
     prev_u = psi_u = Fraction(0)
-    for (v, _, _), image, below in zip(rf.levels, images, images[1:] + [span(quot, [])]):
+    for (v, _, _), image, below in zip(rf.levels, images, images[1:]):
         if image.order == below.order:
             continue
         u = phi.eval(v - 1)

@@ -353,9 +353,9 @@ def consistency_check(
     relations are a linear image in V of the p-multiplicator of (Z/p)^d, of
     rank d + C(d, 2), and the p-covering group of (Z/p)^d pushed out along
     it is a group of order p^n satisfying them.  Here w are the least
-    weights (``_weights``).  With c > 2 and falling weights, or once a test
-    fails or a product passes the collection step limit, the full list runs
-    in its own order, so verdict, witness and error are the full scan's.
+    weights (``_weights``).  With c > 2 and falling weights the full list
+    runs at once, else after a failing test or a product past the collection
+    step limit, so verdict, witness and error are the full scan's.
     ``exhaustive=True`` also runs Light's test on the full product table
     (generator middles suffice, as the pc generators generate the group).
     ``coll`` lends the collector (and product cache) to use.
@@ -366,12 +366,16 @@ def consistency_check(
         return next(((x, y, z) for x, y, z in triples
                      if prod(prod(x, y), z) != prod(x, prod(y, z))), None)
 
+    weights = _weights(pres)
     try:
-        failed = first_failure(_overlap_triples(pres, _weights(pres))) is not None
+        failed = first_failure(_overlap_triples(pres, weights))
     except CapExceededError:  # the full scan meets the same limit, or a failing test first
+        if weights is None:  # it was the full scan
+            raise
         failed = True
     if failed:
-        return ConsistencyResult(False, first_failure(_overlap_triples(pres)), "overlap test failed")
+        witness = failed if weights is None else first_failure(_overlap_triples(pres))
+        return ConsistencyResult(False, witness, "overlap test failed")
     order = pres.order
     if exhaustive or (exhaustive is None and cap < order <= _TABLE_VERIFY_LIMIT):
         if order > cap or order > 2**12:
@@ -416,13 +420,19 @@ class Subgroup:
     agree.  ``elements`` enumerates H on first use only.
 
     ``group`` is a ``PcGroup`` or a quotient with the same operations whose
-    elements have the same depth and additive leading exponent.
+    elements have the same depth and additive leading exponent.  H holds
+    the tail G_t = <a_t, ..., a_n> for t = ``_tail``, the least depth with a
+    row at every depth from it on.  As G_t is a subgroup and multiplying by
+    it keeps the exponents before t (every rhs of a_j lies after a_j), the
+    sift of x at depths >= t is x's prefix with zeros, for no product; also
+    on a quotient G/N, where no row sits at a depth of N.
     """
 
     def __init__(self, group, powers: list):
         self.group = group
         # by depth: None, or [1, r, ..., r^(p-1)] for the row r of that depth
         self._powers = powers
+        self._tail = max((d + 1 for d, pw in enumerate(powers) if not pw), default=0)
         self._elements: frozenset | None = None
         self._canonical: tuple | None = None
 
@@ -441,12 +451,13 @@ class Subgroup:
     def sift(self, x: Element, start: int = 0) -> Element:
         """x times powers of the rows at depths >= ``start``, in increasing
         depth, so that x has zeros there.  The leading exponent is additive,
-        so each step clears its depth and leaves the earlier ones."""
-        p = self.group.p
-        for d in range(start, len(x)):
-            if x[d] and self._powers[d]:
-                x = self.group.product(x, self._powers[d][p - x[d]])
-        return x
+        so each step clears its depth and leaves the earlier ones.  From the
+        tail on, the zeros are written at once."""
+        p, powers, m = self.group.p, self._powers, max(self._tail, start)
+        for d in range(start, m):
+            if x[d] and powers[d]:
+                x = self.group.product(x, powers[d][p - x[d]])
+        return x[:m] + (0,) * (len(x) - m)
 
     def __contains__(self, x) -> bool:
         # a non-identity element of H is nonzero at its depth, a row depth
@@ -478,29 +489,39 @@ class Subgroup:
             self._elements = frozenset(words)
         return self._elements
 
-    def is_normal(self) -> bool:
-        g = self.group
+    def rows_beyond(self, base: "Subgroup | None") -> list:
+        """The rows at depths ``base`` lacks: with ``base`` they generate H
+        if H was spanned from ``base``."""
+        skip = base.depths if base else ()
+        return [x for d, x in zip(self.depths, self.rows) if d not in skip]
+
+    def is_normal(self, base: "Subgroup | None" = None) -> bool:
+        """Whether the conjugates of the rows (given H spanned from a normal
+        ``base``, of ``rows_beyond(base)``) by the pc generators lie in H."""
+        g, rows = self.group, self.rows_beyond(base)
         return all(g.product(g.product(g.inverse(a), x), a) in self
-                   for a in g.pc_generators() for x in self.rows)
+                   for a in g.pc_generators() for x in rows)
 
 
 def span(
-    group, gens: Iterable[Element], conj: Iterable[Element] = (), cap: int = DEFAULT_CAP
+    group, gens: Iterable[Element], conj: Iterable[Element] = (), cap: int = DEFAULT_CAP,
+    base: Subgroup | None = None,
 ) -> Subgroup:
-    """The subgroup generated by ``gens``, normalized by ``conj`` if given.
+    """The subgroup generated by ``gens`` and ``base``, normalized by ``conj``.
 
     Each queued element is sifted through the rows found so far; a remainder
     other than the identity becomes a new row, scaled to leading exponent
     1.  Its p-th power, its commutators with the earlier rows and its
     conjugates by ``conj`` join the queue.  Once the queue is empty all of
     those sift to the identity, so the rows' normal words are closed under
-    products (an induced pcgs) and normalized by <conj>.  A subgroup of
-    order above ``cap`` raises.
+    products (an induced pcgs) and normalized by <conj>.  The rows start as
+    those of ``base`` (closed, and normalized by ``conj``), so only ``gens``
+    and new rows' words are sifted.  A subgroup of order above ``cap`` raises.
     """
     p, identity = group.p, group.identity()
     prod, inv = group.product, group.inverse
     conj = [(a, inv(a)) for a in conj]
-    sub = Subgroup(group, [None] * len(identity))
+    sub = Subgroup(group, list(base._powers) if base else [None] * len(identity))
     queue = list(gens)
     for x in queue:  # in the given order; new words are appended while walking
         x = sub.sift(x)
@@ -515,6 +536,8 @@ def span(
         queue.extend(prod(prod(prod(inv(row), inv(r)), row), r) for r in sub.rows)
         queue.extend(prod(prod(a_inv, row), a) for a, a_inv in conj)
         sub._powers[d] = powers
+        while sub._tail and sub._powers[sub._tail - 1]:
+            sub._tail -= 1
     return sub
 
 

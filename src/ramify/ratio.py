@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_RAT_RE = re.compile(r"[+-]?\d+(?:/[+-]?\d+)?")
+_RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def format_rat(value: Fraction) -> str:
@@ -40,11 +40,11 @@ def parse_rat(text) -> Fraction:
         return text
     if not isinstance(text, str):
         raise InputError(f"not a rational: {text!r}")
-    stripped = text.strip()
-    if not _RAT_RE.fullmatch(stripped):
+    match = _RAT_RE.fullmatch(text.strip())
+    if not match:  # also a signed denominator, which Fraction(str) rejects
         raise InputError(f"not a rational: {text!r}")
-    try:
-        return Fraction(stripped)
+    try:  # int() past its digit limit, or a zero denominator
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
 

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramify import (
@@ -19,6 +19,7 @@ from ramify import (
     invert,
     quotient_filtration,
 )
+from ramify.pcgroup import span
 
 
 def _heis_standard(p=3):
@@ -265,6 +266,69 @@ def _assignments(draw):
 @given(rf=_assignments())
 def test_validate_matches_all_pairs_oracle(rf):
     assert rf.validate() == _validate_all_pairs(rf)
+
+
+def _validate_full_loop(rf):
+    """validate() without its fast path: every level's closure and
+    normality, from the largest level down, then the witness scan."""
+    g = rf.group
+    for v, size, sub in rf.levels:
+        if sub.order == size and sub.is_normal():
+            continue
+        members = frozenset({x for x, val in rf.ig.items() if val >= v} | {g.identity()})
+        if sub.order != size:
+            x, y = next((x, y) for x in members for y in members
+                        if g.product(x, y) not in members)
+            return ValidationReport(False, v - 1, (x, y), "not closed under product")
+        a, x = next((a, x) for x in members for a in g.pc_generators()
+                    if g.product(g.product(g.inverse(a), x), a) not in members)
+        return ValidationReport(False, v - 1, (a, x), "not normal")
+    return ValidationReport(True)
+
+
+# Heisenberg times C_3: a_3 = [a_2, a_1] and a_4 central, so the normal
+# subgroups <a_3 a_4> and <a_1, a_3> hold no tail of G
+_HEIS_C3 = PcGroup(PcPresentation.build(3, 4, comm={(2, 1): {3: 1}}))
+_CHAIN_GROUPS = [
+    *_ORACLE_GROUPS,
+    _HEIS_C3,
+    CosetGroup(_HEIS_C3, _HEIS_C3.normal_closure([(0, 0, 1, 1)])),
+    CosetGroup(_ORACLE_GROUPS[1], _ORACLE_GROUPS[1].normal_closure([(0, 0, 0, 1)])),
+]
+
+
+@st.composite
+def _chain_assignments(draw):
+    """Values from a chain of subgroups of a group or a quotient, each level
+    normally closed or not, some values then moved: valid filtrations and
+    levels that fail closure or normality, tails and not."""
+    g = draw(st.sampled_from(_CHAIN_GROUPS))
+    elements = g.elements()
+    element = st.sampled_from(elements)
+    gens = draw(st.lists(element, min_size=1, max_size=4))
+    chain = [span(g, gens[k:], g.pc_generators() if draw(st.booleans()) else ())
+             for k in range(len(gens))]
+    ig = {x: 1 + sum(x in h for h in chain) for x in elements if x != g.identity()}
+    for x, v in draw(st.lists(st.tuples(element, st.integers(1, 5)), max_size=2)):
+        if x != g.identity():
+            ig[x] = v
+    return RamFiltration(g, ig, check=False)
+
+
+def _non_normal_below_normal():
+    """Levels G > <a_1, a_3, a_4> > <a_1 a_4> on Heisenberg times C_3: the
+    lowest holds no tail and is not normal, the one above it is."""
+    g = _HEIS_C3
+    low, mid = g.subgroup([(1, 0, 0, 1)]), g.subgroup([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    ig = {x: 2 + (x in mid) + (x in low) for x in g.elements() if x != g.identity()}
+    return RamFiltration(g, ig, check=False)
+
+
+@example(rf=_non_normal_below_normal())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rf=_chain_assignments())
+def test_validate_matches_full_loop(rf):
+    assert rf.validate() == _validate_full_loop(rf)
 
 
 def _quotient_by_projection(rf, kernel):

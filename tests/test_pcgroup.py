@@ -527,6 +527,47 @@ def test_sifting_matches_element_sets(case):
         assert all((c in qsub) == (c in qref) for c in quot.elements())
 
 
+def _sift_depth_by_depth(sub, x, start=0):
+    """The plain sift: x times the row's (p - x[d])-th power at every row
+    depth d >= start where x is nonzero, one product per factor."""
+    g, rows = sub.group, dict(zip(sub.depths, sub.rows))
+    for d in range(start, len(x)):
+        if x[d] and d in rows:
+            for _ in range(g.p - x[d]):
+                x = g.product(x, rows[d])
+    return x
+
+
+@st.composite
+def _subgroups_for_sifting(draw):
+    """Subgroups of a group G and of a quotient of it, with and without a
+    tail G_t = <a_t, ..., a_n>, and elements of G to sift."""
+    g, gens, normal, others, kernel_seed = draw(_groups_with_two_spans())
+    n = g.pres.n
+    tail = [g.generator(j) for j in range(draw(st.integers(1, n + 1)), n + 1)]
+    quot = CosetGroup(g, g.normal_closure(kernel_seed))
+    subs = [g.subgroup(gens, normal=normal), g.subgroup(gens + tail), g.full_subgroup(),
+            g.trivial_subgroup(), quot.kernel, span(quot, quot.pc_generators())]
+    subs += [span(quot, [quot.project(x) for x in seed]) for seed in (gens, gens + tail)]
+    return subs, others + gens + tail
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_subgroups_for_sifting())
+def test_sift_matches_depth_by_depth_loop(case):
+    subs, xs = case
+    for sub in subs:
+        n = len(sub.group.identity())
+        tail = min(t for t in range(n + 1) if set(range(t, n)) <= set(sub.depths))
+        assert sub._tail == tail
+        project = getattr(sub.group, "project", lambda x: x)
+        for x in [project(x) for x in xs] + list(sub.rows):
+            for start in range(n + 1):
+                assert sub.sift(x, start) == _sift_depth_by_depth(sub, x, start)
+        assert sub.canonical_rows() == tuple(_sift_depth_by_depth(sub, r, d + 1)
+                                             for d, r in zip(sub.depths, sub.rows))
+
+
 def test_probes_collect_few_products():
     g = _class2_order_3_8()
     before = len(g._coll._cache)
@@ -683,6 +724,21 @@ def test_collection_step_limit(monkeypatch, tmp_path, capsys):
         PcGroup(PcPresentation.build(3, 4, comm={(2, 1): {3: 1}, (3, 2): {4: 1}}))
     with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
         _heis(3).lower_central_series()
+    # with falling weights the first scan is the full one: the product that
+    # passes the limit is collected to it once, not again for a witness
+    stopped, collect = [], _Collector._collect
+
+    def counting(self, v, stack):
+        try:
+            return collect(self, v, stack)
+        except CapExceededError:
+            stopped.append(v)
+            raise
+
+    monkeypatch.setattr(_Collector, "_collect", counting)
+    with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
+        PcGroup(PcPresentation.build(3, 4, power={1: {2: 1}, 2: {3: 1}}))
+    assert len(stopped) == 1
     path = tmp_path / "heis.json"
     path.write_text(json.dumps(build_heisenberg(3).to_json_dict()))
     assert main(["group", "series", "--file", str(path)]) == 4

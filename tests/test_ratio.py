@@ -21,14 +21,19 @@ def test_parse_fixtures():
     assert parse_rat("11/4") == F(11, 4)
     assert parse_rat("5") == F(5)
     assert parse_rat(" -3/2 ") == F(-3, 2)
+    assert parse_rat("+2/4") == F(1, 2)
+    assert parse_rat("-0/7") == F(0)
     assert parse_rat(7) == F(7)
     assert parse_rat(F(1, 3)) == F(1, 3)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("x", "1/0", "1.5.2", None, True, [1], "3 / 4 / 5"):
-        with pytest.raises(InputError):
+    # signed denominators and zero ones, as Fraction(str) rejected them
+    for bad in ("x", "1/0", "1.5.2", None, True, [1], "3 / 4 / 5",
+                "1/-2", "+1/+2", "-1/+2", " -3/0 ", "0/00"):
+        with pytest.raises(InputError) as exc:
             parse_rat(bad)
+        assert str(exc.value) == f"not a rational: {bad!r}"
 
 
 def test_decimal_strings_rejected():
