@@ -4,11 +4,13 @@ A filtration assigns every non-identity element a positive break value
 (the identity sits above everything); the level set at height t holds the
 identity and all elements of value >= t + 1, and must be a normal subgroup.
 The filtration is thus a chain of normal subgroups, one per distinct value,
-built once: validation, level sets and the transition function between the
-two numberings (the integral of the subgroup indices) all read it.  By
-Herbrand's theorem a quotient's upper level sets are the images of the
-ambient ones (Serre, *Local Fields*, ch. IV §1 and §3), spanned by the
-images of their rows; its lower numbering follows from their indices.
+built once: validation, level sets and both numberings read it.  The upper
+break of level v is phi(v - 1), phi the integral of the subgroup indices,
+and as phi is strictly increasing the upper level set at u is the first
+level whose upper break is >= u.  By Herbrand's theorem a quotient's upper
+level sets, its chain, are the images of the ambient ones (Serre, *Local
+Fields*, ch. IV §1 and §3), spanned by the images of their rows; its lower
+numbering follows from their indices.
 """
 
 from __future__ import annotations
@@ -19,17 +21,13 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .herbrand import PLFunc, _from_points, identity_func, invert
+# invert and identity_func stay bound in this module, unused, because the
+# benchmark's span recorder (bench/spans.py) wraps both names here
+from .herbrand import PLFunc, _from_points, identity_func, invert  # noqa: F401
 from .pcgroup import Element, PcGroup, Subgroup, span
 from .ratio import parse_rat
 from .record import Record
 
-__all__ = [
-    "RamFiltration",
-    "CosetGroup",
-    "ValidationReport",
-    "quotient_filtration",
-]
 
 class CosetGroup:
     """Quotient G/N on canonical coset representatives: the least element of
@@ -89,19 +87,12 @@ class RamFiltration:
     """Break-value assignment with normal-subgroup level sets.
 
     ``ig`` maps non-identity elements to their value; ``default`` fills any
-    element not listed.  User-supplied values must be positive integers;
-    quotient construction may introduce rational values, which are kept
-    exact.
+    element not listed.  Values must be positive integers; a quotient's
+    filtration (``quotient_filtration``) may carry rational values, which
+    are kept exact.
     """
 
-    def __init__(
-        self,
-        group,
-        ig: Mapping[Element, object],
-        default=None,
-        require_integer: bool = True,
-        check: bool = True,
-    ):
+    def __init__(self, group, ig: Mapping[Element, object], default=None, check: bool = True):
         self.group = group
         identity = group.identity()
         members = set(group.elements())
@@ -123,7 +114,7 @@ class RamFiltration:
         for x, v in values.items():
             if v <= 0:
                 raise InputError(f"value for {x} must be positive, got {v}")
-            if require_integer and v.denominator != 1:
+            if v.denominator != 1:
                 raise InputError(f"value for {x} must be an integer, got {v}")
         self.ig = values
         if check:
@@ -133,6 +124,14 @@ class RamFiltration:
                     f"level set at {report.level} is not a normal subgroup; "
                     f"witness {report.witness} ({report.reason})"
                 )
+
+    @classmethod
+    def _from_chain(cls, group, ig: dict[Element, Fraction], levels: list) -> "RamFiltration":
+        """The filtration with values ``ig`` and chain ``levels`` of (v, |S|, S),
+        v increasing, valid by construction: nothing is listed, spanned or checked."""
+        rf = cls.__new__(cls)
+        rf.group, rf.ig, rf.levels = group, ig, levels
+        return rf
 
     # -- level sets -------------------------------------------------------
 
@@ -201,33 +200,30 @@ class RamFiltration:
 
     # -- transition functions -----------------------------------------------
 
-    def herbrand_func(self) -> PLFunc:
-        """Lower-to-upper transition: integrate 1/(G_0 : G_t) across levels."""
-        order = self.group.order
-        if order == 1 or not self.ig:
-            return identity_func()
-        # slope |G_t| / |G| on (tau_prev, tau], where G_t holds the values >= v
-        points: list[tuple[Fraction, Fraction]] = []
-        x, y = Fraction(0), Fraction(0)
-        for v, size, _ in self.levels:
-            tau = v - 1
-            y += Fraction(size, order) * (tau - x)
-            x = tau
-            if tau > 0:
-                points.append((x, y))
-        return _from_points(points, Fraction(1, order))
-
     def upper_breaks(self) -> list[Fraction]:
-        phi = self.herbrand_func()
-        return [phi.eval(t) for t in self.lower_breaks()]
+        """phi(v - 1) for each level v, where phi integrates 1/(G_0 : G_t):
+        G_t is the level of value v for t in (the lower break below, v - 1]."""
+        order, x, y, ys = self.group.order, 0, Fraction(0), []
+        for v, size, _ in self.levels:
+            y += Fraction(size, order) * (v - 1 - x)
+            x = v - 1
+            ys.append(y)
+        return ys
+
+    def herbrand_func(self) -> PLFunc:
+        """Lower-to-upper transition: through (t, phi(t)) at each positive
+        lower break t, with slope 1/|G| beyond the last."""
+        points = [(t, u) for t, u in zip(self.lower_breaks(), self.upper_breaks()) if t > 0]
+        return _from_points(points, Fraction(1, self.group.order))
 
     def upper_level(self, u) -> Subgroup:
-        """Level set in upper numbering: lower level at psi(u)."""
+        """Level set in upper numbering, the lower level at psi(u): as phi is
+        strictly increasing, v - 1 >= psi(u) iff phi(v - 1) >= u."""
         u = parse_rat(u)
         if u < 0:
             raise InputError(f"upper level must be >= 0, got {u}")
-        psi = invert(self.herbrand_func())
-        return self.level_set(psi.eval(u))
+        return next((sub for (_, _, sub), y in zip(self.levels, self.upper_breaks()) if y >= u),
+                    span(self.group, []))
 
 
 def quotient_filtration(rf: RamFiltration, kernel: Subgroup) -> RamFiltration:
@@ -235,28 +231,29 @@ def quotient_filtration(rf: RamFiltration, kernel: Subgroup) -> RamFiltration:
 
     ``rf`` must be valid (the CLI loads it checked), so each level's image is
     the image below extended by the projected rows beyond the level below.
-    The level of value v is G's upper level at u = phi(v - 1).  Where the
+    The level of value v is G's upper level at its upper break u.  Where the
     image drops below the next one, psi_Q gains slope (Q : image) up to u,
-    and the cosets it loses take psi_Q(u) + 1.
+    the image is Q's level of value psi_Q(u) + 1, and the cosets it loses
+    take that value.  Q's chain is thus built, valid by construction.
     """
     group = rf.group
     if not isinstance(group, PcGroup):
         raise InputError("quotients are taken of presented groups only")
     quot = CosetGroup(group, kernel)
-    phi = rf.herbrand_func()
     images, lower = [span(quot, [])], None
     for _, _, sub in reversed(rf.levels):
         images.append(span(quot, map(quot.project, sub.rows_beyond(lower)), base=images[-1]))
         lower = sub
     images.reverse()
     ig_q: dict[Element, Fraction] = {}
-    prev_u = psi_u = Fraction(0)
-    for (v, _, _), image, below in zip(rf.levels, images, images[1:]):
+    levels, prev_u, psi_u = [], Fraction(0), Fraction(0)
+    for u, image, below in zip(rf.upper_breaks(), images, images[1:]):
         if image.order == below.order:
             continue
-        u = phi.eval(v - 1)
         psi_u += Fraction(quot.order, image.order) * (u - prev_u)
         prev_u = u
+        v = psi_u + 1
+        levels.append((v, image.order, image))
         for c in image.elements - below.elements:
-            ig_q[c] = psi_u + 1
-    return RamFiltration(quot, ig_q, require_integer=False)
+            ig_q[c] = v
+    return RamFiltration._from_chain(quot, ig_q, levels)

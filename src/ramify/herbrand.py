@@ -24,15 +24,6 @@ from .errors import InputError
 from .ratio import format_rat, parse_rat, reject_unknown, require_posint, require_prime
 from .record import Record
 
-__all__ = [
-    "PLFunc",
-    "identity_func",
-    "psi_step",
-    "compose",
-    "invert",
-    "tower_psi",
-]
-
 
 def _to_rat(x) -> Fraction:
     if isinstance(x, Fraction):

@@ -35,17 +35,6 @@ from .errors import CapExceededError, InconsistentPresentationError, InputError
 from .ratio import is_int, reject_unknown, require_posint, require_prime
 from .record import Record
 
-__all__ = [
-    "PcPresentation",
-    "PcGroup",
-    "Subgroup",
-    "span",
-    "ConsistencyResult",
-    "consistency_check",
-    "build_heisenberg",
-    "build_tower_truncation",
-    "shipped_truncations",
-]
 
 Element = tuple[int, ...]
 

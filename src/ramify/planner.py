@@ -30,21 +30,6 @@ from .herbrand import psi_step, tower_psi, tower_upper_breaks  # noqa: F401
 from .ratio import format_rat, is_int, parse_rat, require_posint, require_prime
 from .record import Record
 
-__all__ = [
-    "TowerPlan",
-    "BreakSequence",
-    "FeasibilityResult",
-    "ClosedFormReport",
-    "cyclic_break_admissible",
-    "break_triple_feasible",
-    "apf_plan",
-    "closed_form_check",
-    "nonapf_plan",
-    "evaluate_plan",
-    "compositum_merge",
-    "repair_merge",
-    "verdict",
-]
 
 VERDICT_APF = "APF"
 VERDICT_NON_APF = "non-APF"

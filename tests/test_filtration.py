@@ -331,22 +331,26 @@ def test_validate_matches_full_loop(rf):
     assert rf.validate() == _validate_full_loop(rf)
 
 
+def _phi(rf, t):
+    """phi(t), the integral of |G_s| / |G| over [0, t], from the values alone:
+    x != 1 lies in G_s for s <= v_x - 1, so it adds min(v_x - 1, t)."""
+    return (t + sum(min(v - 1, t) for v in rf.ig.values())) / rf.group.order
+
+
 def _quotient_by_projection(rf, kernel):
     """The former quotient: project every element, keep each coset's last
-    upper level, and recount the quotient's level sizes for psi."""
+    upper level, and recount the quotient's level sizes for psi.  Returns
+    the quotient's order, values, lower breaks and upper breaks."""
     quot = CosetGroup(rf.group, kernel)
     identity_coset = quot.identity()
-    phi = rf.herbrand_func()
     last_level = {}
     for x, v in rf.ig.items():
         c = quot.project(x)
         if c == identity_coset:
             continue
-        u = phi.eval(v - 1)
+        u = _phi(rf, v - 1)
         if c not in last_level or last_level[c] < u:
             last_level[c] = u
-    if not last_level:
-        return RamFiltration(quot, {}, require_integer=False, check=False)
     levels = sorted(set(last_level.values()))
     psi_at = {}
     prev_u, prev_psi = F(0), F(0)
@@ -356,7 +360,7 @@ def _quotient_by_projection(rf, kernel):
         psi_at[u] = prev_psi
         prev_u = u
     ig_q = {c: psi_at[u] + 1 for c, u in last_level.items()}
-    return RamFiltration(quot, ig_q, require_integer=False)
+    return quot.order, ig_q, [psi_at[u] for u in levels], levels
 
 
 # the quaternion group: a_1^2 = a_2^2 = a_3 = [a_2, a_1]
@@ -367,7 +371,7 @@ _Q8 = PcGroup(PcPresentation.build(2, 3, power={1: {3: 1}, 2: {3: 1}}, comm={(2,
 def _valid_filtrations(draw):
     """A valid filtration from a chain of normal closures N_1 >= N_2 >= ...,
     with the values of the chain's steps drawn increasing, and a kernel."""
-    g = draw(st.sampled_from(_ORACLE_GROUPS + [_Q8]))
+    g = draw(st.sampled_from(_ORACLE_GROUPS + [_Q8, _HEIS_C3]))
     element = st.sampled_from(g.elements())
     gens = draw(st.lists(element, min_size=1, max_size=4))
     chain = [g.subgroup(gens[k:], normal=True) for k in range(len(gens))]
@@ -378,6 +382,15 @@ def _valid_filtrations(draw):
     return RamFiltration(g, ig), kernel
 
 
+def _heis_c3_chain():
+    """Levels G > <a_1, a_3, a_4> > <a_3, a_4> > <a_3> on Heisenberg times C_3."""
+    g = _HEIS_C3
+    chain = [g.subgroup(gens) for gens in ([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                                           [(0, 0, 1, 0), (0, 0, 0, 1)], [(0, 0, 1, 0)])]
+    return RamFiltration(g, {x: 1 + 2 * sum(x in h for h in chain)
+                             for x in g.elements() if x != g.identity()})
+
+
 def _assert_level_sets(rf):
     identity = rf.group.identity()
     for t in [F(0)] + [b + d for b in rf.lower_breaks() for d in (0, F(1, 2), 1)]:
@@ -385,6 +398,9 @@ def _assert_level_sets(rf):
         assert rf.level_set(t).elements == members
 
 
+# kernels that hold no tail: the central <a_3 a_4> and <a_1, a_3>
+@example(case=(_heis_c3_chain(), _HEIS_C3.normal_closure([(0, 0, 1, 1)])))
+@example(case=(_heis_c3_chain(), _HEIS_C3.normal_closure([(1, 0, 0, 0)])))
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=_valid_filtrations())
 def test_quotient_matches_projection_reference(case):
@@ -392,9 +408,29 @@ def test_quotient_matches_projection_reference(case):
     g = rf.group
     _assert_level_sets(rf)
     for n in (g.trivial_subgroup(), g.full_subgroup(), kernel):
-        qf, ref = quotient_filtration(rf, n), _quotient_by_projection(rf, n)
-        assert qf.group.order == ref.group.order
-        assert qf.ig == ref.ig
-        assert qf.lower_breaks() == ref.lower_breaks()
-        assert qf.upper_breaks() == ref.upper_breaks()
+        qf = quotient_filtration(rf, n)
+        order, ig, lower, upper = _quotient_by_projection(rf, n)
+        assert qf.group.order == order
+        assert qf.ig == ig
+        assert qf.lower_breaks() == lower
+        assert qf.upper_breaks() == upper
+        assert qf.validate().ok
         _assert_level_sets(qf)
+
+
+@example(case=(_heis_c3_chain(), _HEIS_C3.normal_closure([(0, 0, 1, 1)])))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_valid_filtrations())
+def test_upper_numbering_matches_psi_route(case):
+    """Upper breaks and upper level sets read off the chain against phi and
+    psi as piecewise-linear functions, on filtrations and their quotients."""
+    rf, kernel = case
+    for f in (rf, quotient_filtration(rf, kernel)):
+        phi, breaks = f.herbrand_func(), f.upper_breaks()
+        assert breaks == [phi.eval(t) for t in f.lower_breaks()]
+        assert breaks == [_phi(f, t) for t in f.lower_breaks()]
+        psi = invert(phi)
+        grid = {F(0), max(breaks, default=F(0)) + 1}
+        grid.update(u + d for u in breaks for d in (F(-1, 2), 0, F(1, 2)) if u + d >= 0)
+        for u in sorted(grid):
+            assert f.upper_level(u) == f.level_set(psi.eval(u))
