@@ -23,7 +23,7 @@ from typing import Mapping
 from .errors import InputError
 # invert and identity_func stay bound in this module, unused, because the
 # benchmark's span recorder (bench/spans.py) wraps both names here
-from .herbrand import PLFunc, _from_points, identity_func, invert  # noqa: F401
+from .herbrand import PLFunc, identity_func, invert  # noqa: F401
 from .pcgroup import Element, PcGroup, Subgroup, span
 from .ratio import parse_rat
 from .record import Record
@@ -211,10 +211,16 @@ class RamFiltration:
         return ys
 
     def herbrand_func(self) -> PLFunc:
-        """Lower-to-upper transition: through (t, phi(t)) at each positive
-        lower break t, with slope 1/|G| beyond the last."""
-        points = [(t, u) for t, u in zip(self.lower_breaks(), self.upper_breaks()) if t > 0]
-        return _from_points(points, Fraction(1, self.group.order))
+        """Lower-to-upper transition phi: through (v - 1, phi(v - 1)) for each
+        level v > 1, with slope |S_v|/|G| on the segment ending there and 1/|G|
+        beyond the last.  The chain strictly descends, so adjacent slopes differ."""
+        order, bps, slopes = self.group.order, [], []
+        for (v, size, _), u in zip(self.levels, self.upper_breaks()):
+            if v > 1:
+                bps.append((v - 1, u))
+                slopes.append(Fraction(size, order))
+        slopes.append(Fraction(1, order))
+        return PLFunc(tuple(bps), tuple(slopes))
 
     def upper_level(self, u) -> Subgroup:
         """Level set in upper numbering, the lower level at psi(u): as phi is

@@ -4,7 +4,9 @@ A `PLFunc` is a continuous, strictly increasing, piecewise-linear function
 on [0, oo) with f(0) = 0, finitely many breakpoints, and exact rational
 slopes.  The final slope extends indefinitely.  Instances are normalized
 (no zero-length segments, adjacent slopes distinct), so `==` is structural
-equality of the mathematical function.
+equality of the mathematical function.  A function read from JSON is
+checked once, by `PLFunc.from_json_dict`; every builder here makes a valid
+function by construction and is not checked again.
 
 `psi_step(i, p)` is the lower-numbering transition function of a single
 totally ramified degree-p cyclic step with break i: the identity up to i,
@@ -18,19 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError
 from .ratio import format_rat, parse_rat, reject_unknown, require_posint, require_prime
 from .record import Record
-
-
-def _to_rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise InputError(f"expected an exact rational, got {x!r}")
 
 
 _abscissa = itemgetter(0)
@@ -40,39 +34,21 @@ class PLFunc(Record):
     """Piecewise-linear function given by breakpoints [(x, y), ...] and slopes.
 
     ``slopes`` has one more entry than ``breakpoints``: slopes[0] applies on
-    [0, x_1] and slopes[-1] beyond the last breakpoint.  Invariants (checked
-    at construction): x strictly increasing and positive, all slopes positive,
-    y-values consistent with the slopes and f(0) = 0, adjacent slopes distinct.
+    [0, x_1] and slopes[-1] beyond the last breakpoint.  Every coordinate is a
+    Fraction.  Invariants: x strictly increasing and positive, all slopes
+    positive, y-values consistent with the slopes and f(0) = 0, adjacent
+    slopes distinct.  ``from_json_dict`` checks them; the builders below
+    keep them by construction.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
     slopes: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        bps = tuple((_to_rat(x), _to_rat(y)) for x, y in self.breakpoints)
-        slopes = tuple(_to_rat(s) for s in self.slopes)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "slopes", slopes)
-        if len(slopes) != len(bps) + 1:
-            raise InputError("need exactly one slope per segment")
-        if any(s <= 0 for s in slopes):
-            raise InputError("slopes must be positive")
-        prev_x, prev_y = Fraction(0), Fraction(0)
-        for k, (x, y) in enumerate(bps):
-            if x <= prev_x:
-                raise InputError("breakpoint abscissas must be positive and strictly increasing")
-            if y != prev_y + slopes[k] * (x - prev_x):
-                raise InputError("breakpoint ordinates inconsistent with slopes")
-            prev_x, prev_y = x, y
-        for a, b in zip(slopes, slopes[1:]):
-            if a == b:
-                raise InputError("collinear segments must be merged (not normalized)")
-
     # -- evaluation ----------------------------------------------------
 
     def eval(self, x) -> Fraction:
         """Exact value at rational x >= 0."""
-        x = parse_rat(x) if isinstance(x, str) else _to_rat(x)
+        x = parse_rat(x)
         if x < 0:
             raise InputError(f"argument must be >= 0, got {x}")
         # segment k runs from breakpoint k-1 (or the origin) to breakpoint k
@@ -112,34 +88,25 @@ class PLFunc(Record):
             if not (isinstance(raw_slopes, list) and isinstance(raw_bps, list)
                     and all(isinstance(bp, list) and len(bp) == 2 for bp in raw_bps)):
                 raise TypeError("breakpoints must be a list of [x, y] and slopes a list")
-            bps = [(parse_rat(x), parse_rat(y)) for x, y in raw_bps]
-            slopes = [parse_rat(s) for s in raw_slopes]
+            bps = tuple((parse_rat(x), parse_rat(y)) for x, y in raw_bps)
+            slopes = tuple(parse_rat(s) for s in raw_slopes)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad piecewise-linear function: {exc}") from exc
-        return cls(tuple(bps), tuple(slopes))
-
-
-def _from_points(points: Sequence[tuple[Fraction, Fraction]], final_slope: Fraction) -> PLFunc:
-    """Build a normalized PLFunc through (0,0) and the given increasing points."""
-    xs, ys = [Fraction(0)], [Fraction(0)]
-    for x, y in points:
-        if x <= xs[-1]:
-            raise InputError("points must have strictly increasing x")
-        if y <= ys[-1]:
-            raise InputError("points must have strictly increasing y")
-        xs.append(x)
-        ys.append(y)
-    slopes = [(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
-    slopes.append(Fraction(final_slope))
-    # merge collinear segments: drop interior points where the slope does not change
-    bps, kept_slopes = [], [slopes[0]]
-    for k in range(1, len(xs)):
-        seg_after = slopes[k]
-        if seg_after == kept_slopes[-1]:
-            continue
-        bps.append((xs[k], ys[k]))
-        kept_slopes.append(seg_after)
-    return PLFunc(tuple(bps), tuple(kept_slopes))
+        if len(slopes) != len(bps) + 1:
+            raise InputError("need exactly one slope per segment")
+        if any(s <= 0 for s in slopes):
+            raise InputError("slopes must be positive")
+        prev_x, prev_y = Fraction(0), Fraction(0)
+        for k, (x, y) in enumerate(bps):
+            if x <= prev_x:
+                raise InputError("breakpoint abscissas must be positive and strictly increasing")
+            if y != prev_y + slopes[k] * (x - prev_x):
+                raise InputError("breakpoint ordinates inconsistent with slopes")
+            prev_x, prev_y = x, y
+        for a, b in zip(slopes, slopes[1:]):
+            if a == b:
+                raise InputError("collinear segments must be merged (not normalized)")
+        return cls(bps, slopes)
 
 
 def identity_func() -> PLFunc:
@@ -212,7 +179,8 @@ def tower_psi(relative_breaks: Iterable[int], p) -> PLFunc:
     """
     breaks = list(relative_breaks)
     uppers = tower_upper_breaks(breaks, p)
-    return PLFunc(tuple(zip(uppers, breaks)), tuple(p**k for k in range(len(breaks) + 1)))
+    return PLFunc(tuple(zip(uppers, map(Fraction, breaks))),
+                  tuple(Fraction(p**k) for k in range(len(breaks) + 1)))
 
 
 def tower_upper_breaks(relative_breaks: Iterable[int], p) -> tuple[Fraction, ...]:

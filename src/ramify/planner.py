@@ -99,8 +99,7 @@ def break_triple_feasible(i: int, j: int, s: int, p: int, e: int) -> Feasibility
                 False,
                 f"upper image i + (s - i)/p = {format_rat(img)} exceeds j = {j}",
             )
-    if i != j and s != psi_step(i, p).eval(j):
-        want = psi_step(i, p).eval(j)
+    if i != j and s != (want := psi_step(i, p).eval(j)):
         return FeasibilityResult(
             False,
             f"with i != j, s must equal the step transition at j: expected {format_rat(want)}, got {s}",
@@ -516,12 +515,14 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
     steps = [b - a for a, b in itertools.pairwise(schedule)]
     diffs = [Fraction(d, p ** (k + 1)) for k, d in enumerate(steps)]
     verdict_val, bound, cert = VERDICT_UNDETERMINED, None, None
-    if plan.kind == "custom":
-        doubling_c = _doubling_constant(schedule, p)
-        if doubling_c is not None and diffs and all(d == diffs[0] for d in diffs):
+    # increments all equal iff t_(n+2) - p*t_(n+1) = t_(n+1) - p*t_n throughout,
+    # iff the schedule doubles as t_(n+1) = p*t_n + c with c = t_2 - p*t_1
+    if plan.kind == "custom" and diffs and all(d == diffs[0] for d in diffs):
+        c = schedule[1] - p * schedule[0]
+        if c >= 1:
             verdict_val = VERDICT_APF
             cert = (
-                f"doubling schedule t_(n+1) = {p}*t_n + {doubling_c}: upper-break "
+                f"doubling schedule t_(n+1) = {p}*t_n + {c}: upper-break "
                 f"increments are constant at {format_rat(diffs[0])} > 0"
             )
     if verdict_val == VERDICT_UNDETERMINED and len(diffs) >= 2:
@@ -545,18 +546,6 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
         flags=tuple(flags),
         warnings=tuple(warnings),
     )
-
-
-def _doubling_constant(schedule: Sequence[int], p: int):
-    if len(schedule) < 2:
-        return None
-    c = schedule[1] - p * schedule[0]
-    if c < 1:
-        return None
-    for a, b in itertools.pairwise(schedule):
-        if b != p * a + c:
-            return None
-    return c
 
 
 def evaluate_plan(plan: TowerPlan) -> BreakSequence:

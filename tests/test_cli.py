@@ -511,6 +511,17 @@ def test_out_flag_writes_file(tmp_path, heis3_file, capsys):
     assert on_disk == stdout_run
 
 
+def test_out_flag_into_missing_directory_exits_one(tmp_path, heis3_file, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        ["group", "check", "--file", heis3_file, "--out", str(target)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == "malformed-input"
+    assert json.loads(err)["error"].startswith(f"cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_repeated_runs_identical(filt_file, capsys):
     argv = ["filtration", "quotient", "--file", filt_file, "--kernel", "[[0,0,1]]"]
     _, first, _ = run_cli(argv, capsys)

@@ -1,22 +1,28 @@
 """Unit and property tests for the piecewise-linear transition calculus."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramify import (
     InputError,
+    PcGroup,
+    PcPresentation,
     PLFunc,
+    RamFiltration,
+    build_heisenberg,
+    build_tower_truncation,
     compose,
     identity_func,
     invert,
     psi_step,
+    quotient_filtration,
     tower_psi,
     tower_upper_breaks,
 )
-from ramify.herbrand import _from_points
 from ramify.ratio import require_prime
 
 # -- construction and invariants -------------------------------------------
@@ -39,17 +45,23 @@ def test_psi_step_rejects_bad_input():
         psi_step(1, 1)
 
 
+def _json(bps, slopes):
+    return {"breakpoints": [[x, y] for x, y in bps], "slopes": slopes}
+
+
 def test_plfunc_invariants_enforced():
-    with pytest.raises(InputError):
-        PLFunc(((F(2), F(2)), (F(1), F(1))), (F(1), F(1), F(2)))  # x not increasing
-    with pytest.raises(InputError):
-        PLFunc(((F(1), F(1)),), (F(1), F(-2)))  # negative slope
-    with pytest.raises(InputError):
-        PLFunc(((F(1), F(2)),), (F(1), F(2)))  # discontinuous at the break
-    with pytest.raises(InputError):
-        PLFunc(((F(1), F(1)),), (F(1), F(1)))  # collinear segments not merged
-    with pytest.raises(InputError):
-        PLFunc(((F(1), F(1)),), (F(1),))  # slope count mismatch
+    cases = [
+        (_json([("2", "2"), ("1", "1")], ["1", "1", "2"]), "abscissas must be positive and strictly"),
+        (_json([("1", "1")], ["1", "-2"]), "slopes must be positive"),
+        (_json([("1", "2")], ["1", "2"]), "ordinates inconsistent with slopes"),  # discontinuous
+        (_json([("1", "1")], ["1", "1"]), "collinear segments must be merged"),
+        (_json([("1", "1")], ["1"]), "need exactly one slope per segment"),
+        # the slope count is checked before the signs
+        (_json([("1", "1")], ["-1"]), "need exactly one slope per segment"),
+    ]
+    for data, text in cases:
+        with pytest.raises(InputError, match=text):
+            PLFunc.from_json_dict(data)
 
 
 def test_eval_below_and_above_break():
@@ -240,6 +252,25 @@ def _linear_eval(func, x):
     return prev_y + func.slopes[-1] * (x - prev_x)
 
 
+def _from_points(points, final_slope):
+    """Reference: the normalized PLFunc through (0, 0) and the given points,
+    increasing in both coordinates, with segments merged where the slope
+    does not change."""
+    xs, ys = [F(0)], [F(0)]
+    for x, y in points:
+        assert x > xs[-1] and y > ys[-1]
+        xs.append(x)
+        ys.append(y)
+    slopes = [(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)]
+    slopes.append(F(final_slope))
+    bps, kept = [], [slopes[0]]
+    for k in range(1, len(xs)):
+        if slopes[k] != kept[-1]:
+            bps.append((xs[k], ys[k]))
+            kept.append(slopes[k])
+    return PLFunc(tuple(bps), tuple(kept))
+
+
 def _pointwise_compose(outer, inner):
     """Reference: evaluate at the inner breakpoints and the inner preimages
     of the outer breakpoints, then merge collinear segments."""
@@ -288,3 +319,64 @@ def test_compose_matches_pointwise_compose(outer, inner, x):
         assert compose(invert(inner), inner) == identity_func()
         for bx in result.break_xs():
             assert result.eval(bx) == _linear_eval(result, bx)
+
+
+# -- every builder's output passes the checks of a function read from JSON ------
+
+
+def _assert_valid(f):
+    """f is exact and passes ``from_json_dict`` unchanged."""
+    assert all(type(c) is F for bp in f.breakpoints for c in bp)
+    assert all(type(s) is F for s in f.slopes)
+    assert PLFunc.from_json_dict(f.to_json_dict()) == f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(plfuncs(), plfuncs(), st.one_of(schedules, st.just([])), steps)
+def test_builders_pass_the_json_checks(outer, inner, schedule, step):
+    for f in (outer, inner, compose(outer, inner), compose(outer, invert(outer)), invert(inner),
+              identity_func(), psi_step(*step)):
+        _assert_valid(f)
+    if isinstance(psi := _outcome(tower_psi, schedule, step[1]), PLFunc):
+        _assert_valid(psi)
+
+
+# the quaternion group: a_1^2 = a_2^2 = a_3 = [a_2, a_1]
+_FILTRATION_GROUPS = [
+    PcGroup(build_heisenberg(3)),
+    PcGroup(build_tower_truncation(3, 4)),
+    PcGroup(PcPresentation.build(2, 3, power={1: {3: 1}, 2: {3: 1}}, comm={(2, 1): {3: 1}})),
+]
+
+
+@st.composite
+def filtrations(draw):
+    """A valid filtration on a chain of normal closures, values increasing
+    along it from 1, 2 or 3, and a kernel to take a quotient by."""
+    g = draw(st.sampled_from(_FILTRATION_GROUPS))
+    element = st.sampled_from(g.elements())
+    gens = draw(st.lists(element, min_size=1, max_size=4))
+    chain = [g.subgroup(gens[k:], normal=True) for k in range(len(gens))]
+    rises = draw(st.lists(st.integers(1, 3), min_size=len(gens) + 1, max_size=len(gens) + 1))
+    value = list(itertools.accumulate(rises))
+    ig = {x: value[sum(x in h for h in chain)] for x in g.elements() if x != g.identity()}
+    return RamFiltration(g, ig), g.normal_closure(draw(st.lists(element, max_size=2)))
+
+
+def _points_herbrand_func(rf):
+    """Reference: phi through (t, phi(t)) at each positive lower break."""
+    points = [(t, u) for t, u in zip(rf.lower_breaks(), rf.upper_breaks()) if t > 0]
+    return _from_points(points, F(1, rf.group.order))
+
+
+@example(case=(RamFiltration(_FILTRATION_GROUPS[0], {}, default=1),
+               _FILTRATION_GROUPS[0].trivial_subgroup()))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=filtrations())
+def test_herbrand_func_matches_points_route(case):
+    rf, kernel = case
+    g = rf.group
+    for f in (rf, *(quotient_filtration(rf, n) for n in (g.full_subgroup(), kernel))):
+        phi = f.herbrand_func()
+        _assert_valid(phi)
+        assert phi == _points_herbrand_func(f)

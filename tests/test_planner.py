@@ -26,7 +26,6 @@ from ramify import (
     verdict,
 )
 from ramify.herbrand import invert, psi_step
-from ramify.planner import _doubling_constant
 
 # -- admissibility and feasibility -------------------------------------------
 
@@ -468,6 +467,16 @@ def _plfunc_apf_plan(plan):
         )
     return BreakSequence(tuple(levels), tuple(lower), tuple(upper), verdict_val, bound, cert,
                          tuple(False for _ in upper))
+
+
+def _doubling_constant(schedule, p):
+    """Reference: c when the schedule runs t_(n+1) = p*t_n + c with c >= 1."""
+    if len(schedule) < 2:
+        return None
+    c = schedule[1] - p * schedule[0]
+    if c < 1 or any(b != p * a + c for a, b in zip(schedule, schedule[1:])):
+        return None
+    return c
 
 
 def _plfunc_nonapf_plan(plan):
