@@ -81,19 +81,16 @@ def _cap() -> int:
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise InputError(f"{path} is nested too deeply") from None
+    return _parse_json_arg(text, path)
 
 
 def _parse_json_arg(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InputError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{what} is nested too deeply") from None
@@ -114,8 +111,15 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True) + "\n", out_path)
 
 
-def _elements_json(elements) -> list:
-    return [list(x) for x in sorted(elements)]
+def _elements_arg(group, text: str, flag: str) -> list:
+    raw = _parse_json_arg(text, flag)
+    if not isinstance(raw, list):
+        raise InputError(f"{flag} must be a JSON list of exponent vectors")
+    return [group.element(g) for g in raw]
+
+
+def _subgroup_json(sub) -> dict:
+    return {"order": sub.order, "elements": [list(x) for x in sorted(sub.elements)]}
 
 
 def _load_filtration(data, cap: int, check: bool) -> RamFiltration:
@@ -224,14 +228,8 @@ def _cmd_group(args) -> int:
         return 0
     group = PcGroup(pres, cap=cap)
     if args.action == "closure":
-        gens_raw = _parse_json_arg(args.gens, "--gens")
-        if not isinstance(gens_raw, list):
-            raise InputError("--gens must be a JSON list of exponent vectors")
-        gens = [group.element(g) for g in gens_raw]
-        sub = group.subgroup(gens, normal=args.normal)
-        _emit_json(
-            {"order": sub.order, "elements": _elements_json(sub.elements)}, args.out
-        )
+        gens = _elements_arg(group, args.gens, "--gens")
+        _emit_json(_subgroup_json(group.subgroup(gens, normal=args.normal)), args.out)
     elif args.action == "series":
         _emit_json(group.series_equality_check(), args.out)
     elif args.action == "rank":
@@ -285,15 +283,9 @@ def _cmd_filtration(args) -> int:
     if args.action == "herbrand":
         _emit_json(rf.herbrand_func().to_json_dict(), args.out)
     elif args.action == "upper":
-        sub = rf.upper_level(parse_rat(args.at))
-        _emit_json(
-            {"order": sub.order, "elements": _elements_json(sub.elements)}, args.out
-        )
+        _emit_json(_subgroup_json(rf.upper_level(parse_rat(args.at))), args.out)
     else:  # quotient
-        seed_raw = _parse_json_arg(args.kernel, "--kernel")
-        if not isinstance(seed_raw, list):
-            raise InputError("--kernel must be a JSON list of exponent vectors")
-        seed = [rf.group.element(g) for g in seed_raw]
+        seed = _elements_arg(rf.group, args.kernel, "--kernel")
         kernel = rf.group.subgroup(seed, normal=True)
         quot = quotient_filtration(rf, kernel)
         ig_rows = [

@@ -4,7 +4,7 @@ A filtration assigns every non-identity element a positive break value
 (the identity sits above everything); the level set at height t holds the
 identity and all elements of value >= t + 1, and must be a normal subgroup.
 The filtration is thus a chain of normal subgroups, one per distinct value,
-built once: validation, level sets and both numberings read it.  The upper
+built at load: validation, level sets and both numberings read it.  The upper
 break of level v is phi(v - 1), phi the integral of the subgroup indices,
 and as phi is strictly increasing the upper level set at u is the first
 level whose upper break is >= u.  By Herbrand's theorem a quotient's upper
@@ -15,7 +15,6 @@ numbering follows from their indices.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping
@@ -89,34 +88,44 @@ class RamFiltration:
     ``ig`` maps non-identity elements to their value; ``default`` fills any
     element not listed.  Values must be positive integers; a quotient's
     filtration (``quotient_filtration``) may carry rational values, which
-    are kept exact.
+    are kept exact.  ``levels`` holds (v, |S|, span(S)) for each distinct
+    value v, increasing, S the identity and the elements of value >= v.
+    The constructor builds it from one bucket of elements per value, each
+    span extending the one above; ``validate`` then walks it once.
     """
 
     def __init__(self, group, ig: Mapping[Element, object], default=None, check: bool = True):
         self.group = group
-        identity = group.identity()
-        members = set(group.elements())
+        identity, elements = group.identity(), group.elements()
+        members = set(elements)
         values: dict[Element, Fraction] = {}
+        buckets: dict[Fraction, list[Element]] = {}  # by value, each in ``values`` order
         for x, v in dict(ig).items():
             x = tuple(x)
             if x == identity:
                 raise InputError("the identity carries no finite value")
             if x not in members:
                 raise InputError(f"element {x} does not belong to the group")
-            values[x] = parse_rat(v)
-        fill = None  # ``default``, parsed at the first element it fills
-        for x in group.elements():
-            if x == identity or x in values:
-                continue
+            values[x] = v = parse_rat(v)
+            buckets.setdefault(v, []).append(x)
+        missing = [x for x in elements if x != identity and x not in values]
+        if missing:
             if default is None:
-                raise InputError(f"no value for element {x} and no default given")
-            values[x] = fill = parse_rat(default) if fill is None else fill
-        for x, v in values.items():
+                raise InputError(f"no value for element {missing[0]} and no default given")
+            fill = parse_rat(default)
+            values.update(dict.fromkeys(missing, fill))
+            buckets.setdefault(fill, []).extend(missing)
+        for v, xs in buckets.items():
             if v <= 0:
-                raise InputError(f"value for {x} must be positive, got {v}")
+                raise InputError(f"value for {xs[0]} must be positive, got {v}")
             if v.denominator != 1:
-                raise InputError(f"value for {x} must be an integer, got {v}")
+                raise InputError(f"value for {xs[0]} must be an integer, got {v}")
         self.ig = values
+        self.levels, size, sub = [], 1, None
+        for v in sorted(buckets, reverse=True):
+            size += len(buckets[v])
+            sub = span(group, buckets[v], base=sub)
+            self.levels.insert(0, (v, size, sub))
         if check:
             report = self.validate()
             if not report.ok:
@@ -134,21 +143,6 @@ class RamFiltration:
         return rf
 
     # -- level sets -------------------------------------------------------
-
-    @functools.cached_property
-    def levels(self) -> list[tuple[Fraction, int, Subgroup]]:
-        """(v, |S|, span(S)) for each distinct value v, increasing, where S
-        holds the identity and the elements of value >= v.  Each span extends
-        the span of the level above by the elements of value exactly v."""
-        exact: dict[Fraction, list[Element]] = {}
-        for x, v in self.ig.items():
-            exact.setdefault(v, []).append(x)
-        chain, size, sub = [], 1, None
-        for v in sorted(exact, reverse=True):
-            size += len(exact[v])
-            sub = span(self.group, exact[v], base=sub)
-            chain.append((v, size, sub))
-        return chain[::-1]
 
     def value_of(self, x: Element):
         """Break value of x; None for the identity (above every level)."""
@@ -176,27 +170,28 @@ class RamFiltration:
 
     def validate(self) -> ValidationReport:
         """Each level set is closed iff its span has its member count, and
-        then normal iff the span is: from the smallest level up, iff its rows
-        beyond the (normal) level above conjugate into it.  Only on a failure
-        are the levels checked in full from G down, and the failing level's
-        members listed and scanned pairwise for the witness."""
-        subs = [None] + [sub for _, _, sub in self.levels[::-1]]  # from the smallest up
-        if all(sub.order == size and sub.is_normal(above)
-               for (_, size, sub), above in zip(self.levels[::-1], subs)):
+        then normal iff the span is.  One walk from the smallest level up
+        decides each: after a level that passed (so is normal), only the rows
+        beyond it must conjugate in, else all rows.  The largest failing level
+        is reported, its members listed and scanned for the witness."""
+        failed, below = None, None
+        for v, size, sub in reversed(self.levels):
+            if sub.order == size and sub.is_normal(below):
+                below = sub
+            else:
+                failed, below = (v, size, sub), None
+        if failed is None:
             return ValidationReport(True)
+        v, size, sub = failed
         g = self.group
-        for v, size, sub in self.levels:
-            if sub.order == size and sub.is_normal():
-                continue
-            members = frozenset({x for x, val in self.ig.items() if val >= v} | {g.identity()})
-            if sub.order != size:
-                x, y = next((x, y) for x in members for y in members
-                            if g.product(x, y) not in members)
-                return ValidationReport(False, v - 1, (x, y), "not closed under product")
-            a, x = next((a, x) for x in members for a in g.pc_generators()
-                        if g.product(g.product(g.inverse(a), x), a) not in members)
-            return ValidationReport(False, v - 1, (a, x), "not normal")
-        return ValidationReport(True)
+        members = frozenset({x for x, val in self.ig.items() if val >= v} | {g.identity()})
+        if sub.order != size:
+            x, y = next((x, y) for x in members for y in members
+                        if g.product(x, y) not in members)
+            return ValidationReport(False, v - 1, (x, y), "not closed under product")
+        a, x = next((a, x) for x in members for a in g.pc_generators()
+                    if g.product(g.product(g.inverse(a), x), a) not in members)
+        return ValidationReport(False, v - 1, (a, x), "not normal")
 
     # -- transition functions -----------------------------------------------
 

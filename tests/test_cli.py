@@ -440,6 +440,31 @@ def test_malformed_input_exits_one(argv, data, tmp_path, capsys):
     assert json.loads(err)["code"] == "malformed-input"
 
 
+_HUGE = "1" * 5000  # past CPython's 4,300-digit limit on converting an int
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this CPython converts integers of any length")
+@pytest.mark.parametrize(
+    "argv, data, named",
+    [
+        (["group", "check"], '{"p": %s, "n": 3}' % _HUGE, None),
+        (["group", "closure", "--gens", "[[%s, 0, 0]]" % _HUGE], _HEIS3, "--gens"),
+        (["filtration", "quotient", "--kernel", "[[%s, 0, 0]]" % _HUGE],
+         _filtration_input([0, 0, 1], [0, 0, 2]), "--kernel"),
+    ],
+    ids=["file", "gens", "kernel"],
+)
+def test_oversized_json_integer_exits_one(argv, data, named, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    code, out, err = run_cli(argv + ["--file", str(path)], capsys)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["code"] == "malformed-input"
+    assert error["error"].startswith(f"{named or path} is not valid JSON: ")
+
+
 # -- sweep worker count ------------------------------------------------------------
 
 

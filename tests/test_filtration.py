@@ -20,6 +20,7 @@ from ramify import (
     quotient_filtration,
 )
 from ramify.pcgroup import span
+from ramify.ratio import parse_rat
 
 
 def _heis_standard(p=3):
@@ -269,8 +270,9 @@ def test_validate_matches_all_pairs_oracle(rf):
 
 
 def _validate_full_loop(rf):
-    """validate() without its fast path: every level's closure and
-    normality, from the largest level down, then the witness scan."""
+    """The former failure path of validate(): every level's closure and
+    normality checked in full, from the largest level down, then the
+    witness scan."""
     g = rf.group
     for v, size, sub in rf.levels:
         if sub.order == size and sub.is_normal():
@@ -329,6 +331,91 @@ def _non_normal_below_normal():
 @given(rf=_chain_assignments())
 def test_validate_matches_full_loop(rf):
     assert rf.validate() == _validate_full_loop(rf)
+
+
+def _load_per_element(group, ig, default=None):
+    """The former constructor: each value parsed, filled and checked per
+    element, then grouped into levels by hashing each value.  Returns the
+    values and the chain as (v, |S|, canonical rows of S)."""
+    identity = group.identity()
+    members = set(group.elements())
+    values = {}
+    for x, v in dict(ig).items():
+        x = tuple(x)
+        if x == identity:
+            raise InputError("the identity carries no finite value")
+        if x not in members:
+            raise InputError(f"element {x} does not belong to the group")
+        values[x] = parse_rat(v)
+    fill = None
+    for x in group.elements():
+        if x == identity or x in values:
+            continue
+        if default is None:
+            raise InputError(f"no value for element {x} and no default given")
+        values[x] = fill = parse_rat(default) if fill is None else fill
+    for x, v in values.items():
+        if v <= 0:
+            raise InputError(f"value for {x} must be positive, got {v}")
+        if v.denominator != 1:
+            raise InputError(f"value for {x} must be an integer, got {v}")
+    exact = {}
+    for x, v in values.items():
+        exact.setdefault(v, []).append(x)
+    chain, size, sub = [], 1, None
+    for v in sorted(exact, reverse=True):
+        size += len(exact[v])
+        sub = span(group, exact[v], base=sub)
+        chain.append((v, size, sub.canonical_rows()))
+    return list(values.items()), chain[::-1]
+
+
+def _load_by_buckets(group, ig, default=None):
+    rf = RamFiltration(group, ig, default=default, check=False)
+    return list(rf.ig.items()), [(v, size, sub.canonical_rows()) for v, size, sub in rf.levels]
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+_BAD_VALUES = [0, -1, "-2", "3/2", F(1, 3), "x"]
+
+
+@st.composite
+def _raw_assignments(draw):
+    """A group or quotient, raw listed values and a default: mostly a
+    chain's values, as ints or strings, some listed ones then replaced by bad
+    values, the identity or a non-member (on a quotient also an ambient
+    element that is no coset representative), and the default absent,
+    valid or bad."""
+    g = draw(st.sampled_from(_CHAIN_GROUPS))
+    elements = g.elements()
+    identity = g.identity()
+    gens = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
+    chain = [span(g, gens[k:]) for k in range(len(gens))]
+    value = {x: 1 + sum(x in h for h in chain) for x in elements if x != identity}
+    listed = draw(st.lists(st.sampled_from(elements[1:]), unique=True, max_size=len(elements)))
+    ig = {x: draw(st.sampled_from([value[x], str(value[x])])) for x in listed}
+    outsiders = [identity, tuple([g.p] * len(identity))]
+    if isinstance(g, CosetGroup):
+        members = set(elements)
+        outsiders.append(next(x for x in g.ambient.elements() if x not in members))
+    for x in draw(st.lists(st.sampled_from(elements[1:]) | st.sampled_from(outsiders), max_size=2)):
+        ig[x] = draw(st.sampled_from([value.get(x, 2)] + _BAD_VALUES))
+    default = draw(st.sampled_from([1, "2", 5, None] + _BAD_VALUES))
+    return g, ig, default
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_raw_assignments())
+def test_constructor_matches_per_element_reference(case):
+    """Values, levels, and the first load error with its text, against the
+    per-element constructor, on groups and quotients."""
+    assert _outcome(_load_by_buckets, *case) == _outcome(_load_per_element, *case)
 
 
 def _phi(rf, t):

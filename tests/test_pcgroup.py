@@ -200,6 +200,19 @@ def test_least_weights():
     assert _weights(PcPresentation.build(3, 4, power={1: {2: 1}, 2: {3: 1}})) is None
 
 
+def test_class_2_lists_no_overlap_test(monkeypatch):
+    # every test weighs at least 3, so for c <= 2 the scan builds no generator
+    def no_generator(self, j):
+        raise AssertionError(f"generator {j} built")
+
+    pres = [build_heisenberg(3), PcPresentation.build(3, 5), _class2(3, 10, 40)[0]]
+    weights = [_weights(q) for q in pres]
+    assert [max(w) for w in weights] == [2, 1, 2]
+    monkeypatch.setattr(PcPresentation, "generator", no_generator)
+    for q, w in zip(pres, weights):
+        assert list(_overlap_triples(q, w)) == []
+
+
 def test_order_3_40_class_2_load_is_fast():
     pres = _class2(3, 10, 40)[0]
     start = time.perf_counter()
