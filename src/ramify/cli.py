@@ -9,11 +9,11 @@ overrides the group enumeration cap.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from .errors import (
     CapExceededError,
@@ -21,7 +21,7 @@ from .errors import (
     InfeasiblePlanError,
     InputError,
 )
-from .ratio import format_rat, is_int, parse_rat, reject_unknown
+from .ratio import digit_limit_error, format_rat, is_int, parse_rat, reject_unknown
 
 __all__ = ["main"]
 
@@ -52,13 +52,6 @@ def _bind(command: str) -> None:
     for name in _FAMILY_NAMES[command]:
         if name not in globals():
             __getattr__(name)
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with its own code 2 on bad flags; route every usage
-    # problem through the malformed-input path instead
-    def error(self, message):
-        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +101,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True) + "\n", out_path)
+    try:
+        text = json.dumps(obj, sort_keys=True)
+    except ValueError:  # an integer past the digit limit of int-to-str conversion
+        raise digit_limit_error() from None
+    _emit(text + "\n", out_path)
 
 
 def _elements_arg(group, text: str, flag: str) -> list:
@@ -185,18 +182,14 @@ def _cmd_herbrand(args) -> int:
         if not isinstance(data, dict) or not {"outer", "inner"} <= set(data):
             raise InputError('compose input needs "outer" and "inner" functions')
         reject_unknown(data, ("outer", "inner"), "compose")
-        func = compose(
-            PLFunc.from_json_dict(data["outer"]),
-            PLFunc.from_json_dict(data["inner"]),
-        )
+        func = compose(PLFunc.from_json_dict(data["outer"]), PLFunc.from_json_dict(data["inner"]))
     elif args.action == "invert":
         func = invert(PLFunc.from_json_dict(_read_json(args.file)))
     else:  # eval
         func = PLFunc.from_json_dict(_read_json(args.file))
-        _emit_json({"value": format_rat(func.eval(parse_rat(args.at)))}, args.out)
-        return 0
-    if getattr(args, "eval", None) is not None:
-        _emit_json({"value": format_rat(func.eval(parse_rat(args.eval)))}, args.out)
+    at = args.at if args.action == "eval" else args.eval
+    if at is not None:
+        _emit_json({"value": format_rat(func.eval(parse_rat(at)))}, args.out)
     else:
         _emit_json(func.to_json_dict(), args.out)
     return 0
@@ -266,18 +259,11 @@ def _cmd_filtration(args) -> int:
     if args.action == "validate":
         rf = _load_filtration(data, cap, check=False)
         report = rf.validate()
-        if report.ok:
-            _emit_json({"ok": True}, args.out)
-        else:
-            _emit_json(
-                {
-                    "ok": False,
-                    "level": format_rat(report.level),
-                    "reason": report.reason,
-                    "witness": [list(w) for w in report.witness],
-                },
-                args.out,
-            )
+        out = {"ok": True}
+        if not report.ok:
+            out = {"ok": False, "level": format_rat(report.level), "reason": report.reason,
+                   "witness": [list(w) for w in report.witness]}
+        _emit_json(out, args.out)
         return 0
     rf = _load_filtration(data, cap, check=True)
     if args.action == "herbrand":
@@ -288,18 +274,9 @@ def _cmd_filtration(args) -> int:
         seed = _elements_arg(rf.group, args.kernel, "--kernel")
         kernel = rf.group.subgroup(seed, normal=True)
         quot = quotient_filtration(rf, kernel)
-        ig_rows = [
-            {"element": list(x), "value": format_rat(v)}
-            for x, v in sorted(quot.ig.items())
-        ]
-        _emit_json(
-            {
-                "order": quot.group.order,
-                "ig": ig_rows,
-                "upper_breaks": [format_rat(u) for u in quot.upper_breaks()],
-            },
-            args.out,
-        )
+        ig_rows = [{"element": list(x), "value": format_rat(v)} for x, v in sorted(quot.ig.items())]
+        _emit_json({"order": quot.group.order, "ig": ig_rows,
+                    "upper_breaks": [format_rat(u) for u in quot.upper_breaks()]}, args.out)
     return 0
 
 
@@ -318,9 +295,7 @@ def _cmd_plan(args) -> int:
         _emit_json({"feasible": result.ok, "reason": result.reason}, args.out)
         return 0 if result.ok else 2
     if args.action == "admissible":
-        ok = cyclic_break_admissible(
-            args.j, args.p, args.e, strict=not args.bound_only
-        )
+        ok = cyclic_break_admissible(args.j, args.p, args.e, strict=not args.bound_only)
         _emit_json({"admissible": ok}, args.out)
         return 0 if ok else 2
     # run
@@ -379,125 +354,144 @@ def _cmd_merge(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# argv: one table, read by a direct scanner and by the argparse parser
 # ---------------------------------------------------------------------------
 
-def _add_out(p) -> None:
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-
-@functools.cache
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="ramify", description=__doc__)
-    top = parser.add_subparsers(dest="command", required=True)
-
-    herbrand = top.add_parser("herbrand", help="piecewise-linear transition functions")
-    hsub = herbrand.add_subparsers(dest="action", required=True)
-    h_step = hsub.add_parser("step", help="single degree-p step function")
-    h_step.add_argument("--break", dest="brk", type=int, required=True)
-    h_step.add_argument("--p", type=int, required=True)
-    h_step.add_argument("--eval", default=None, help="evaluate at this rational")
-    _add_out(h_step)
-    h_comp = hsub.add_parser("compose", help="compose outer after inner")
-    h_comp.add_argument("--file", required=True)
-    h_comp.add_argument("--eval", default=None)
-    _add_out(h_comp)
-    h_inv = hsub.add_parser("invert", help="exact inverse")
-    h_inv.add_argument("--file", required=True)
-    h_inv.add_argument("--eval", default=None)
-    _add_out(h_inv)
-    h_eval = hsub.add_parser("eval", help="evaluate a stored function")
-    h_eval.add_argument("--file", required=True)
-    h_eval.add_argument("--at", required=True)
-    _add_out(h_eval)
-
-    group = top.add_parser("group", help="power-commutator presentations")
-    gsub = group.add_subparsers(dest="action", required=True)
-    g_check = gsub.add_parser("check", help="consistency check")
-    g_check.add_argument("--file", required=True)
-    g_check.add_argument("--series", action="store_true", help="include series report")
-    g_check.add_argument("--exhaustive", action="store_true", help="force full table verification")
-    _add_out(g_check)
-    g_clos = gsub.add_parser("closure", help="subgroup or normal closure")
-    g_clos.add_argument("--file", required=True)
-    g_clos.add_argument("--gens", required=True, help="JSON list of exponent vectors")
-    g_clos.add_argument("--normal", action="store_true")
-    _add_out(g_clos)
-    g_ser = gsub.add_parser("series", help="central and p-series report")
-    g_ser.add_argument("--file", required=True)
-    _add_out(g_ser)
-    g_rank = gsub.add_parser("rank", help="minimal generators of the gap subgroup")
-    g_rank.add_argument("--file", required=True)
-    g_rank.add_argument("--k", type=int, required=True)
-    _add_out(g_rank)
-    g_probe = gsub.add_parser("probe", help="normal closures along the tower")
-    g_probe.add_argument("--file", required=True)
-    g_probe.add_argument("--tower", default=None, help="comma-separated generator indices")
-    _add_out(g_probe)
-
-    filt = top.add_parser("filtration", help="break filtrations on presented groups")
-    fsub = filt.add_subparsers(dest="action", required=True)
-    f_val = fsub.add_parser("validate", help="check every level set is normal")
-    f_val.add_argument("--file", required=True)
-    _add_out(f_val)
-    f_her = fsub.add_parser("herbrand", help="transition function of the filtration")
-    f_her.add_argument("--file", required=True)
-    _add_out(f_her)
-    f_up = fsub.add_parser("upper", help="level set in upper numbering")
-    f_up.add_argument("--file", required=True)
-    f_up.add_argument("--at", required=True)
-    _add_out(f_up)
-    f_quot = fsub.add_parser("quotient", help="induced filtration on a quotient")
-    f_quot.add_argument("--file", required=True)
-    f_quot.add_argument("--kernel", required=True, help="JSON list of exponent vectors")
-    _add_out(f_quot)
-
-    plan = top.add_parser("plan", help="tower break-sequence plans")
-    psub = plan.add_subparsers(dest="action", required=True)
-    p_run = psub.add_parser("run", help="evaluate a plan or a sweep of plans")
-    p_run.add_argument("--file", required=True)
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--jobs", type=int, default=1)
-    _add_out(p_run)
-    p_feas = psub.add_parser("feasible", help="break-triple compatibility")
-    for flag in ("--i", "--j", "--s", "--p", "--e"):
-        p_feas.add_argument(flag, type=int, required=True)
-    _add_out(p_feas)
-    p_adm = psub.add_parser("admissible", help="cyclic degree-p break bound")
-    for flag in ("--j", "--p", "--e"):
-        p_adm.add_argument(flag, type=int, required=True)
-    p_adm.add_argument("--bound-only", action="store_true", help="skip the divisibility half of the strict check")
-    _add_out(p_adm)
-
-    merge = top.add_parser("merge", help="combine break sequences")
-    msub = merge.add_subparsers(dest="action", required=True)
-    m_max = msub.add_parser("max", help="index-wise maximum with collision flags")
-    m_max.add_argument("--file", required=True)
-    m_max.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_out(m_max)
-    m_rep = msub.add_parser("repair", help="raise a base sequence by family bounds")
-    m_rep.add_argument("--file", required=True)
-    m_rep.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_out(m_rep)
-
-    return parser
-
-
-_DISPATCH = {
-    "herbrand": _cmd_herbrand,
-    "group": _cmd_group,
-    "filtration": _cmd_filtration,
-    "plan": _cmd_plan,
-    "merge": _cmd_merge,
+# family -> (handler, help, {action -> (help, flags)}); a flag is (option, argparse
+# keywords), and every action also takes _OUT, last
+_FILE = ("--file", {"required": True})
+_INT = {"type": int, "required": True}
+_FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
+_VECTORS = {"required": True, "help": "JSON list of exponent vectors"}
+_OUT = ("--out", {"help": "write output to this path instead of stdout"})
+_COMMANDS = {
+    "herbrand": (_cmd_herbrand, "piecewise-linear transition functions", {
+        "step": ("single degree-p step function", (("--break", {"dest": "brk", **_INT}),
+                 ("--p", _INT), ("--eval", {"help": "evaluate at this rational"}))),
+        "compose": ("compose outer after inner", (_FILE, ("--eval", {}))),
+        "invert": ("exact inverse", (_FILE, ("--eval", {}))),
+        "eval": ("evaluate a stored function", (_FILE, ("--at", {"required": True}))),
+    }),
+    "group": (_cmd_group, "power-commutator presentations", {
+        "check": ("consistency check", (
+            _FILE, ("--series", {"action": "store_true", "help": "include series report"}),
+            ("--exhaustive", {"action": "store_true", "help": "force full table verification"}))),
+        "closure": ("subgroup or normal closure",
+                    (_FILE, ("--gens", _VECTORS), ("--normal", {"action": "store_true"}))),
+        "series": ("central and p-series report", (_FILE,)),
+        "rank": ("minimal generators of the gap subgroup", (_FILE, ("--k", _INT))),
+        "probe": ("normal closures along the tower",
+                  (_FILE, ("--tower", {"help": "comma-separated generator indices"}))),
+    }),
+    "filtration": (_cmd_filtration, "break filtrations on presented groups", {
+        "validate": ("check every level set is normal", (_FILE,)),
+        "herbrand": ("transition function of the filtration", (_FILE,)),
+        "upper": ("level set in upper numbering", (_FILE, ("--at", {"required": True}))),
+        "quotient": ("induced filtration on a quotient", (_FILE, ("--kernel", _VECTORS))),
+    }),
+    "plan": (_cmd_plan, "tower break-sequence plans", {
+        "run": ("evaluate a plan or a sweep of plans",
+                (_FILE, _FORMAT, ("--jobs", {"type": int, "default": 1}))),
+        "feasible": ("break-triple compatibility", tuple(
+            (option, _INT) for option in ("--i", "--j", "--s", "--p", "--e"))),
+        "admissible": ("cyclic degree-p break bound", (
+            ("--j", _INT), ("--p", _INT), ("--e", _INT),
+            ("--bound-only", {"action": "store_true",
+                              "help": "skip the divisibility half of the strict check"}))),
+    }),
+    "merge": (_cmd_merge, "combine break sequences", {
+        "max": ("index-wise maximum with collision flags", (_FILE, _FORMAT)),
+        "repair": ("raise a base sequence by family bounds", (_FILE, _FORMAT)),
+    }),
 }
 
 
+@functools.cache
+def _flags(family: str, action: str):
+    """option -> (dest, int, str or True for store_true, choices), and the defaults."""
+    flags, defaults = {}, {}
+    for option, kw in (*_COMMANDS[family][2][action][1], _OUT):
+        dest = kw.get("dest", option[2:].replace("-", "_"))
+        store_true = kw.get("action") == "store_true"
+        flags[option] = (dest, store_true or kw.get("type", str), kw.get("choices"))
+        if not kw.get("required"):
+            defaults[dest] = False if store_true else kw.get("default")
+    return flags, defaults
+
+
+def _scan(argv):
+    """The namespace argparse would return for a regular argv, or None to defer to it.
+
+    Regular is a family, an action, then declared flags spelled exactly, as
+    ``--flag value`` or ``--flag=value``, with an int given as ASCII digits.
+    Help, prefixes, a value token starting with "-", "--", unknown or missing
+    flags, any other int, a bad choice and an empty "=" value all defer, so
+    argparse answers them with its own bytes.
+    """
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1] not in _COMMANDS[argv[0]][2]:
+        return None
+    flags, defaults = _flags(argv[0], argv[1])
+    ns = {"command": argv[0], "action": argv[1], **defaults}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option not in flags:
+            return None
+        dest, kind, choices = flags[option]
+        if kind is True:  # store_true takes no value
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, "-")  # a missing value defers as one starting with "-" does
+            if value.startswith("-"):
+                return None
+        elif not value:
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the digit limit of text-to-int conversion
+                return None
+        if choices is not None and value not in choices:
+            return None
+        ns[dest] = value
+    if len(ns) < len(flags) + 2:  # a required flag is missing
+        return None
+    return types.SimpleNamespace(**ns)
+
+
+@functools.cache
+def build_parser():
+    """The argparse parser of the table, for help pages and usage errors."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        # argparse exits with its own code 2 on bad flags; route every usage
+        # problem through the malformed-input path instead
+        def error(self, message):
+            raise InputError(message)
+
+    parser = _ArgumentParser(prog="ramify", description=__doc__)
+    top = parser.add_subparsers(dest="command", required=True)
+    for family, (_, help_, actions) in _COMMANDS.items():
+        sub = top.add_parser(family, help=help_).add_subparsers(dest="action", required=True)
+        for action, (help_, flags) in actions.items():
+            action_parser = sub.add_parser(action, help=help_)
+            for option, kw in (*flags, _OUT):
+                action_parser.add_argument(option, **kw)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _scan(argv) or build_parser().parse_args(argv)
         _bind(args.command)
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except InputError as exc:
         return _fail("malformed-input", exc, 1)
     except InfeasiblePlanError as exc:

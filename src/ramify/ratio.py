@@ -10,9 +10,10 @@ and objects of the input schema.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 _RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
@@ -21,9 +22,18 @@ def format_rat(value: Fraction) -> str:
     """Serialize a rational as "num" or "num/den" (reduced, den > 0)."""
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # an integer past the digit limit of int-to-str conversion
+        raise digit_limit_error() from None
+
+
+def digit_limit_error() -> CapExceededError:
+    """The error for output holding an integer past CPython's int-to-str digit limit."""
+    return CapExceededError(f"output: an integer has more than {sys.get_int_max_str_digits()} "
+                            "digits, the limit of int-to-str conversion")
 
 
 def parse_rat(text) -> Fraction:
@@ -66,18 +76,41 @@ def reject_unknown(data: dict, known, what: str) -> None:
         raise InputError(f"unknown {what} fields: {sorted(extra)}")
 
 
+# the prime bases of the strong-probable-prime test, and psi_12, the least
+# strong pseudoprime to all of them: below it the test decides primality
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
+    """Primality, decided for every p below psi_12 (about 3.2e23).
+
+    Raises InputError for a p at or above psi_12 that passes every base,
+    where the test decides nothing.
+    """
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
+    for b in _BASES:  # trial division decides every p < 37**2
+        if p % b == 0:
+            return p == b
+    if p < 37 * 37:
         return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # b witnesses that p is composite
+    if p >= _PSI_12:
+        raise InputError(f"p = {p} is a strong probable prime to the bases 2 to 37, which "
+                         f"decides primality only below {_PSI_12}")
     return True
 
 

@@ -554,6 +554,25 @@ def test_repeated_runs_identical(filt_file, capsys):
     assert first == second
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+                    reason="no digit limit on int-to-str conversion")
+def test_output_past_the_digit_limit_is_cap_exceeded(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    want = {"code": "cap-exceeded",
+            "error": f"output: an integer has more than {limit} digits, the limit of int-to-str "
+                     "conversion"}
+    # psi(x) = 1 + 3(x - 1) is a rational of limit + 1 digits, printed by format_rat
+    argv = ["herbrand", "step", "--break", "1", "--p", "3", "--eval", "9" * limit]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, json.loads(err)) == (4, "", want)
+    # an order p^n of more than limit digits, printed by json.dumps
+    p = 10**16 + 61
+    pres = tmp_path / "big.json"
+    pres.write_text(json.dumps({"p": p, "n": limit // 16 + 1}))
+    code, out, err = run_cli(["group", "check", "--file", str(pres)], capsys)
+    assert (code, out, json.loads(err)) == (4, "", want)
+
+
 def test_parser_built_once_and_reusable(heis3_file, capsys):
     from ramify.cli import build_parser
 
@@ -697,6 +716,8 @@ def test_mutated_inputs_exit_with_json_errors(name, data, tmp_path, monkeypatch)
 _SRC = str(Path(ramify.__file__).resolve().parent.parent)
 _LAYERS = {"ramify.herbrand", "ramify.pcgroup", "ramify.filtration", "ramify.planner"}
 _NOT_AT_START = {"dataclasses", "concurrent.futures"}
+# a regular argv is scanned off the flag table; argparse serves help and usage errors
+_ARGPARSE = {"argparse", "gettext"}
 
 
 def _fresh(code: str) -> str:
@@ -720,7 +741,7 @@ def _loaded_by(code: str) -> set:
 def test_bare_import_loads_no_layer():
     loaded = _loaded_by("import ramify.cli")
     assert "ramify.cli" in loaded
-    assert not loaded & (_LAYERS | _NOT_AT_START)
+    assert not loaded & (_LAYERS | _NOT_AT_START | _ARGPARSE)
 
 
 @pytest.mark.parametrize(
@@ -741,7 +762,16 @@ def test_each_family_loads_only_its_layers(argv, layers):
     loaded = _loaded_by(f"import ramify.cli\nassert ramify.cli.main({argv!r}) == 0")
     assert loaded & _LAYERS == layers
     # the layers' records load neither dataclasses nor inspect
-    assert not loaded & (_NOT_AT_START | {"inspect"})
+    assert not loaded & (_NOT_AT_START | _ARGPARSE | {"inspect"})
+
+
+def test_usage_error_loads_argparse_and_keeps_its_bytes():
+    case = next(c for c in json.loads((_GOLDEN_INPUTS.parent / "cases.json").read_text())
+                if c["name"] == "missing-flag")
+    code = ("import contextlib, io, json, sys\nimport ramify.cli\nerr = io.StringIO()\n"
+            f"with contextlib.redirect_stderr(err):\n    rc = ramify.cli.main({case['argv']!r})\n"
+            "print(json.dumps([rc, err.getvalue(), 'argparse' in sys.modules]))")
+    assert json.loads(_fresh(code)) == [case["exit"], case["stderr"], True]
 
 
 # every name bench/spans.py wraps on ramify.cli, by home module

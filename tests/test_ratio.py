@@ -1,5 +1,6 @@
 """Unit tests for the rational serialization helpers and input checks."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +52,50 @@ def test_primality():
         require_prime(9)
     with pytest.raises(InputError):
         require_prime(True)
+
+
+def _trial_division(n: int) -> bool:
+    """The primality test require_prime ran before the strong-probable-prime test."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    assert list(filter(is_prime, range(10**5))) == list(filter(_trial_division, range(10**5)))
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_composite(n):
+    # strong pseudoprimes to the bases 2 to 7, and to the bases 2 to 23
+    assert not is_prime(n)
+    with pytest.raises(InputError, match=f"^p must be a prime integer, got {n}$"):
+        require_prime(n)
+
+
+def test_large_prime_is_answered_fast():
+    p = 10**16 + 61
+    start = time.perf_counter()
+    assert require_prime(p) == p
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("n", [318665857834031151167461, 10**24 + 7])
+def test_probable_prime_past_the_bound_is_rejected(n):
+    # psi_12 = 399165290221 * 798330580441 passes all twelve bases, and so does 10^24 + 7
+    with pytest.raises(InputError, match="decides primality only below 318665857834031151167461$"):
+        require_prime(n)
+    with pytest.raises(InputError, match="^p must be a prime integer, got "):
+        require_prime(n + 1)  # even: a composite past the bound keeps the composite text
 
 
 def test_require_posint():
