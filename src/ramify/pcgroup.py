@@ -1,9 +1,9 @@
 """Finite p-groups given by power-commutator presentations.
 
-A presentation on generators a_1 < ... < a_n over a prime p stores, for
-each j, the word a_j^p as an exponent vector over the later generators,
-and for each pair i < j the commutator [a_j, a_i] = a_j^-1 a_i^-1 a_j a_i,
-again over generators strictly after a_j.  Elements are normal forms
+A presentation on generators a_1 < ... < a_n over a prime p stores only
+its nontrivial relations, in increasing key order: a_j^p under (j, 0) and
+the commutator [a_j, a_i] = a_j^-1 a_i^-1 a_j a_i, i < j, under (j, i),
+each an exponent vector over generators after a_j.  Elements are normal forms
 a_1^e1 ... a_n^en with 0 <= e < p, written as plain exponent tuples.  The
 product x y is computed by collection from the left (Vaughan-Lee; Leedham-
 Green and Soicher): x is the collected exponent vector, y's letters go on a
@@ -61,8 +61,10 @@ class PcPresentation(Record):
 
     p: int
     n: int
-    power: tuple[tuple[tuple[int, int], ...], ...]
-    comm: tuple[tuple[tuple[int, int], ...], ...]  # row (j, i), i < j, flattened
+    relations: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_key", dict(self.relations))
 
     @classmethod
     def build(
@@ -74,29 +76,32 @@ class PcPresentation(Record):
     ) -> "PcPresentation":
         """Build from sparse maps: power[j] = {k: e}, comm[(j, i)] = {k: e}.
 
-        Unspecified right-hand sides are trivial (a_j^p = 1, [a_j, a_i] = 1).
+        Unspecified or empty right-hand sides are trivial (a_j^p = 1,
+        [a_j, a_i] = 1) and are not stored.
         """
         p = require_prime(p)
         require_posint("generator count", n)
-        power, comm = dict(power or {}), dict(comm or {})
-        pow_rows = tuple(_clean_rhs(power.pop(j, {}), j, n, p, f"power a_{j}^{p}")
-                         for j in range(1, n + 1))
+        power, comm, rows = dict(power or {}), dict(comm or {}), {}
+        gens = range(1, n + 1)
+        for j in sorted(int(j) for j in power if j in gens):
+            rows[j, 0] = _clean_rhs(power.pop(j), j, n, p, f"power a_{j}^{p}")
         if power:
             raise InputError(f"power relations for unknown generators: {sorted(power)}")
-        comm_rows = tuple(_clean_rhs(comm.pop((j, i), {}), j, n, p, f"comm [a_{j}, a_{i}]")
-                          for j in range(2, n + 1) for i in range(1, j))
+        pairs = (key for key in comm if isinstance(key, tuple) and len(key) == 2
+                 and key[0] in gens and key[1] in gens and key[1] < key[0])
+        for j, i in sorted((int(j), int(i)) for j, i in pairs):
+            rows[j, i] = _clean_rhs(comm.pop((j, i)), j, n, p, f"comm [a_{j}, a_{i}]")
         if comm:
             raise InputError(f"commutator relations for bad pairs: {sorted(comm)}")
-        return cls(p, n, pow_rows, comm_rows)
+        return cls(p, n, tuple((key, rhs) for key, rhs in sorted(rows.items()) if rhs))
 
     def power_rhs(self, j: int) -> tuple[tuple[int, int], ...]:
-        return self.power[j - 1]
+        return self._by_key.get((j, 0), ())
 
     def comm_rhs(self, j: int, i: int) -> tuple[tuple[int, int], ...]:
         if not 1 <= i < j <= self.n:
             raise InputError(f"commutator pair ({j}, {i}) out of range")
-        # rows are stored for j = 2..n, i = 1..j-1 in that order
-        return self.comm[(j - 1) * (j - 2) // 2 + (i - 1)]
+        return self._by_key.get((j, i), ())
 
     @property
     def order(self) -> int:
@@ -113,18 +118,12 @@ class PcPresentation(Record):
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        rows = [(j, i, {str(k): e for k, e in rhs}) for (j, i), rhs in self.relations]
         return {
             "p": self.p,
             "n": self.n,
-            "power": [
-                {"j": j, "rhs": {str(k): e for k, e in self.power_rhs(j)}}
-                for j in range(1, self.n + 1)
-            ],
-            "comm": [
-                {"j": j, "i": i, "rhs": {str(k): e for k, e in self.comm_rhs(j, i)}}
-                for j in range(2, self.n + 1)
-                for i in range(1, j)
-            ],
+            "power": [{"j": j, "rhs": rhs} for j, i, rhs in rows if not i],
+            "comm": [{"j": j, "i": i, "rhs": rhs} for j, i, rhs in rows if i],
         }
 
     @classmethod
@@ -204,15 +203,19 @@ class _Collector:
         self.pres = pres
         self._cache: dict[tuple[Element, Element], Element] = {}
         self._inv_cache: dict[Element, Element] = {}
-        n = pres.n
-
-        def stacked(word) -> tuple[tuple[int, int], ...]:
-            return tuple((k - 1, e) for k, e in reversed(word))
-
-        self._power = [stacked(pres.power_rhs(g)) for g in range(1, n + 1)]
-        # a_h^(a_g) for g < h, looked up as _conj[g][h]
-        self._conj = [[stacked(((h, 1),) + pres.comm_rhs(h, g)) if h > g else ()
-                       for h in range(1, n + 1)] for g in range(1, n + 1)]
+        self._power = [()] * pres.n
+        # a_h^(a_g) for g < h, looked up as _conj[g][h]; a_g shares `unit`,
+        # the row of plain a_h, until a stored [a_h, a_g] needs its own copy
+        unit = [((h, 1),) for h in range(pres.n)]
+        self._conj = [unit] * pres.n
+        for (h, g), rhs in pres.relations:
+            word = tuple((k - 1, e) for k, e in reversed(rhs))  # stacked, top last
+            if not g:
+                self._power[h - 1] = word
+                continue
+            if self._conj[g - 1] is unit:
+                self._conj[g - 1] = list(unit)
+            self._conj[g - 1][h - 1] = word + ((h - 1, 1),)
 
     def _collect(self, v: list[int], stack: list[tuple[int, int]]) -> Element:
         """The normal form of v times the stacked letters; v is consumed."""
@@ -286,13 +289,10 @@ def _weights(pres: PcPresentation) -> list[int] | None:
     rhs of [a_j, a_i] and w_k >= w_j + 1 in that of a_j^p, in one ascending
     pass (every rhs lies above its j); None where ``consistency_check``'s
     theorem does not apply."""
-    w, comm = [1] * pres.n, iter(pres.comm)
-    for j in range(pres.n):
-        for k, _ in pres.power[j]:
-            w[k - 1] = max(w[k - 1], w[j] + 1)
-        for i in range(j):
-            for k, _ in next(comm):
-                w[k - 1] = max(w[k - 1], w[j] + w[i])
+    w = [1] * pres.n
+    for (j, i), rhs in pres.relations:  # a power (i = 0) adds weight 1
+        for k, _ in rhs:
+            w[k - 1] = max(w[k - 1], w[j - 1] + (w[i - 1] if i else 1))
     return None if max(w) > 2 and any(a > b for a, b in zip(w, w[1:])) else w
 
 
@@ -374,13 +374,12 @@ def consistency_check(
                 f"exhaustive verification needs a table of {order}^2 products"
             )
         elements = list(itertools.product(range(pres.p), repeat=pres.n))
-        table = {(x, y): prod(x, y) for x in elements for y in elements}
         # Light's test: middles restricted to generators decide associativity
         for g in (pres.generator(j) for j in range(1, pres.n + 1)):
             for a in elements:
-                ag = table[(a, g)]
+                ag = prod(a, g)
                 for b in elements:
-                    if table[(ag, b)] != table[(a, table[(g, b)])]:
+                    if prod(ag, b) != prod(a, prod(g, b)):
                         return ConsistencyResult(False, (a, g, b), "table verification failed")
     return ConsistencyResult(True, None, "consistent")
 
