@@ -22,12 +22,14 @@ Every subgroup (closures, normal closures, both series, the Frattini
 subgroup) is grown from generators by ``span`` as an induced polycyclic
 generating sequence (Holt, Eick and O'Brien, ch. 8): at most n rows, so
 order, membership and equality cost polynomially many products, and the
-element set is enumerated only when asked for.  Series terms and Frattini
-subgroups need p-th powers of generators only, as H/[H, G] is abelian.
+element set is enumerated only when asked for.  Frattini subgroups need
+p-th powers of generators only, as H/[H, H] is abelian; the lower p-series
+is spanned from the lower central series (``lower_p_series``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, Sequence
 
@@ -136,25 +138,28 @@ class PcPresentation(Record):
                 raise InputError(f'bad presentation: top level lacks "{key}"')
         try:
             p, n = data["p"], data["n"]
-            power = {_index(row, "j", where): _rhs(row, where) for where, row in _rows(data, "power")}
-            comm = {
-                (_index(row, "j", where), _index(row, "i", where)): _rhs(row, where)
-                for where, row in _rows(data, "comm")
-            }
+            power = {j: rhs for (j,), rhs in _relations(data, "power", ("j",), "a_{}^p").items()}
+            comm = _relations(data, "comm", ("j", "i"), "[a_{}, a_{}]")
         except InputError as exc:
             raise InputError(f"bad presentation: {exc}") from exc
         return cls.build(p, n, power, comm)
 
 
-def _rows(data: dict, key: str) -> Iterable[tuple[str, dict]]:
-    """("key[r]", row) for each row of the relation list ``key``."""
-    rows = data.get(key, [])
+def _relations(data: dict, key: str, fields: tuple[str, ...], name: str) -> dict:
+    """The relation list ``key`` as {(row[f] for f in fields): rhs}; a row
+    repeating an earlier row's relation (``name`` of its indices) raises."""
+    rows, out = data.get(key, []), {}
     if not isinstance(rows, list):
         raise InputError(f'"{key}" must be a list of rows')
     for r, row in enumerate(rows):
+        where = f"{key}[{r}]"
         if not isinstance(row, dict):
-            raise InputError(f"{key}[{r}] must be an object")
-        yield f"{key}[{r}]", row
+            raise InputError(f"{where} must be an object")
+        idx, rhs = tuple(_index(row, f, where) for f in fields), _rhs(row, where)
+        if idx in out:
+            raise InputError(f"{where} repeats the relation {name.format(*idx)}")
+        out[idx] = rhs
+    return out
 
 
 def _rhs(row: dict, where: str) -> dict:
@@ -349,13 +354,17 @@ def consistency_check(
     step limit, so verdict, witness and error are the full scan's.
     ``exhaustive=True`` also runs Light's test on the full product table
     (generator middles suffice, as the pc generators generate the group).
-    ``coll`` lends the collector (and product cache) to use.
+    ``coll`` lends the collector (and product cache) to use; else one is
+    built at the first test, so a check with no test left builds none.
     """
-    prod = (coll or _Collector(pres)).product
+    product = functools.cache(lambda: (coll or _Collector(pres)).product)
 
     def first_failure(triples):
-        return next(((x, y, z) for x, y, z in triples
-                     if prod(prod(x, y), z) != prod(x, prod(y, z))), None)
+        for x, y, z in triples:
+            prod = product()
+            if prod(prod(x, y), z) != prod(x, prod(y, z)):
+                return x, y, z
+        return None
 
     weights = _weights(pres)
     try:
@@ -373,7 +382,7 @@ def consistency_check(
             raise CapExceededError(
                 f"exhaustive verification needs a table of {order}^2 products"
             )
-        elements = list(itertools.product(range(pres.p), repeat=pres.n))
+        elements, prod = list(itertools.product(range(pres.p), repeat=pres.n)), product()
         # Light's test: middles restricted to generators decide associativity
         for g in (pres.generator(j) for j in range(1, pres.n + 1)):
             for a in elements:
@@ -648,54 +657,55 @@ class PcGroup:
 
     # -- series -------------------------------------------------------------
 
-    def _descending_series(self, powers: bool, name: str) -> list[Subgroup]:
-        """G, then each term H followed by <[x, a] (and x^p with ``powers``)>^G
-        over the generators x of H and the pc generators a, down to 1."""
+    def _descending_series(self) -> list[Subgroup]:
+        """G = gamma_1, then gamma_(k+1) = <[x, a]>^G over gamma_k's rows x and pc generators a."""
         pcg = self.pc_generators()
         series = [self.full_subgroup()]
         while series[-1].order > 1:
-            current = series[-1]
-            seed = [self.commutator(x, a) for x in current.rows for a in pcg]
-            if powers:
-                seed += [self.power_p(x) for x in current.rows]
-            nxt = span(self, seed, pcg, self.cap)
-            if nxt.order >= current.order:
-                raise InconsistentPresentationError(f"{name} does not descend")
-            series.append(nxt)
+            seed = [self.commutator(x, a) for x in series[-1].rows for a in pcg]
+            series.append(span(self, seed, pcg, self.cap))
+            if series[-1].order >= series[-2].order:
+                raise InconsistentPresentationError("lower central series does not descend")
         return series
 
     def lower_central_series(self) -> list[Subgroup]:
         """G = gamma_1 >= gamma_2 = [G, G] >= ... >= 1, built on first use."""
         if self._gamma is None:
-            self._gamma = self._descending_series(False, "lower central series")
+            self._gamma = self._descending_series()
         return self._gamma
 
     def lower_p_series(self) -> list[Subgroup]:
-        """P_0 = G, P_{m+1} = P_m^p [P_m, G], down to the trivial subgroup."""
-        return self._descending_series(True, "lower p-series")
+        """P_0 = G, P_(m+1) = P_m^p [P_m, G], down to 1.
+
+        P_m contains gamma_(m+1), so P_(m+1) contains [gamma_(m+1), G] = gamma_(m+2);
+        and P_m/[P_m, G] is abelian.  So P_(m+1) is spanned from gamma_(m+2) by the
+        p-th powers of P_m's rows and the commutators with the pc generators of only
+        the rows P_m has beyond gamma_(m+1).
+        """
+        gamma, pcg = self.lower_central_series(), self.pc_generators()
+        series = [gamma[0]]
+        while series[-1].order > 1:
+            above, below = (gamma[min(k, len(gamma) - 1)] for k in (len(series) - 1, len(series)))
+            seed = [self.power_p(x) for x in series[-1].rows]
+            seed += [self.commutator(x, a) for x in series[-1].rows_beyond(above) for a in pcg]
+            series.append(span(self, seed, pcg, self.cap, base=below))
+            if series[-1].order >= series[-2].order:
+                raise InconsistentPresentationError("lower p-series does not descend")
+        return series
 
     def series_equality_check(self) -> dict:
         """Compare the lower central series with the lower p-series levelwise.
 
-        Also reports whether every p-th power lies in the derived subgroup,
-        the condition under which the two series coincide for these groups,
-        and the orders of the terms of each series.
+        As P_m contains gamma_(m+1), the terms are equal iff their orders are;
+        so G^p lies in [G, G], the condition under which the two series
+        coincide for these groups, iff |P_1| = |gamma_2|.
         """
-        gamma = self.lower_central_series()
-        pser = self.lower_p_series()
-        levels = [
-            {"gamma_order": g.order, "p_order": q.order, "equal": g == q}
-            for g, q in itertools.zip_longest(gamma, pser, fillvalue=self.trivial_subgroup())
-        ]
-        # G/[G, G] is abelian: the generators' p-th powers decide all of G^p
-        gp_in_derived = all(self.power_p(a) in gamma[1] for a in self.pc_generators())
-        return {
-            "levels": levels,
-            "all_equal": all(level["equal"] for level in levels),
-            "gp_in_derived": gp_in_derived,
-            "gamma_orders": [s.order for s in gamma],
-            "p_orders": [s.order for s in pser],
-        }
+        gamma = [s.order for s in self.lower_central_series()]
+        pser = [s.order for s in self.lower_p_series()]
+        levels = [{"gamma_order": g, "p_order": q, "equal": g == q}
+                  for g, q in itertools.zip_longest(gamma, pser, fillvalue=1)]
+        return {"levels": levels, "all_equal": gamma == pser, "gp_in_derived": gamma[1] == pser[1],
+                "gamma_orders": gamma, "p_orders": pser}
 
     # -- invariants of subgroups ---------------------------------------------
 

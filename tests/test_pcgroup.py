@@ -253,6 +253,18 @@ def test_class_2_lists_no_overlap_test(monkeypatch):
         assert list(_overlap_triples(q, w)) == []
 
 
+def test_check_builds_a_collector_only_for_a_test(monkeypatch):
+    built, init, class3 = [], _Collector.__init__, build_tower_truncation(3, 4)
+    monkeypatch.setattr(_Collector, "__init__", lambda self, pres: built.append(init(self, pres)))
+    # a collector holds O(n) rows, so a check with no test left builds none
+    for pres in (build_heisenberg(3), PcPresentation.build(3, 5), _class2(3, 10, 40)[0]):
+        assert consistency_check(pres).ok and consistency_check(pres, exhaustive=False).ok
+    assert built == []
+    # one for the class-3 tests, and one for the table alone of a class-2 check
+    assert consistency_check(class3).ok and len(built) == 1
+    assert consistency_check(build_heisenberg(3), exhaustive=True).ok and len(built) == 2
+
+
 def test_order_3_40_class_2_load_is_fast():
     pres = _class2(3, 10, 40)[0]
     start = time.perf_counter()
@@ -302,8 +314,14 @@ def test_heisenberg_series():
     assert rep["gp_in_derived"]
 
 
+def _cyclic9():
+    return PcGroup(PcPresentation.build(3, 2, power={1: {2: 1}}))
+
+
 def test_cyclic_p_squared_series_differ():
-    g = PcGroup(PcPresentation.build(3, 2, power={1: {2: 1}}))
+    g = _cyclic9()
+    assert [s.order for s in g.lower_p_series()] == [9, 3, 1]
+    assert [s.order for s in g.lower_central_series()] == [9, 1]
     rep = g.series_equality_check()
     assert not rep["all_equal"]
     gamma = [lvl["gamma_order"] for lvl in rep["levels"]]
@@ -311,6 +329,17 @@ def test_cyclic_p_squared_series_differ():
     assert gamma == [9, 1, 1]
     assert pser == [9, 3, 1]
     assert not rep["levels"][1]["equal"]
+
+
+def test_p_series_reuses_the_lower_central_series(monkeypatch):
+    # P_m contains gamma_(m+1): only P_m's rows beyond it need commutators
+    for g, count in ((_heis(3), 0), (_cyclic9(), 2)):
+        g.lower_central_series()
+        calls = []
+        commutator = g.commutator
+        monkeypatch.setattr(g, "commutator", lambda x, y: calls.append(1) or commutator(x, y))
+        g.lower_p_series()
+        assert len(calls) == count
 
 
 def test_elementary_abelian_series():
@@ -465,8 +494,7 @@ def _ref_series(g, powers):
     return series
 
 
-def _ref_series_report(g):
-    gamma, pser = _ref_series(g, False), _ref_series(g, True)
+def _ref_series_report(g, gamma, pser):
     depth = max(len(gamma), len(pser))
     trivial = [frozenset({g.identity()})]
     levels = [{"gamma_order": len(c), "p_order": len(q), "equal": c == q}
@@ -528,7 +556,11 @@ def test_span_matches_element_set_algorithms(case):
         quotient //= g.p
         dim += 1
     assert g.min_generators(sub) == dim
-    assert g.series_equality_check() == _ref_series_report(g)
+    # both series term by term, the p-series being spanned from the gamma terms
+    gamma, pser = _ref_series(g, False), _ref_series(g, True)
+    assert [s.elements for s in g.lower_central_series()] == gamma
+    assert [s.elements for s in g.lower_p_series()] == pser
+    assert g.series_equality_check() == _ref_series_report(g, gamma, pser)
 
 
 def _class2_order_3_8():
@@ -832,3 +864,24 @@ def test_presentation_rows_name_bad_indices():
             load(comm=[{"j": 2, "i": 1, "rhs": {key: 1}}])
     for key in ("3", "03", 3):
         assert load(comm=[{"j": 2, "i": 1, "rhs": {key: 1}}]) == build_heisenberg(3)
+
+
+def test_presentation_rejects_repeated_rows():
+    def error(**rows):
+        with pytest.raises(InputError) as exc:
+            PcPresentation.from_json_dict({"p": 3, "n": 3, **rows})
+        return str(exc.value)
+
+    # else the later row would replace the earlier one, and this load the abelian group
+    assert (error(comm=[{"j": 2, "i": 1, "rhs": {"3": 1}}, {"j": 2, "i": 1, "rhs": {}}])
+            == "bad presentation: comm[1] repeats the relation [a_2, a_1]")
+    assert (error(power=[{"j": 1}, {"j": 2}, {"j": 1, "rhs": {"3": 2}}])
+            == "bad presentation: power[2] repeats the relation a_1^p")
+    # the repeating row's own checks come first
+    assert (error(comm=[{"j": 2, "i": 1}, {"j": 2, "i": 1, "rhs": {"x": 1}}])
+            == "bad presentation: comm[1] \"rhs\" key 'x' is not a generator index")
+    assert error(comm=[{"j": 2, "i": 1}, {"j": 2}]) == 'bad presentation: comm[1] lacks "i"'
+    # a power row and commutator rows sharing a j are different relations
+    pres = PcPresentation.from_json_dict({"p": 3, "n": 3, "power": [{"j": 2}],
+                                          "comm": [{"j": 2, "i": 1}, {"j": 3, "i": 2}]})
+    assert pres == PcPresentation.build(3, 3)

@@ -63,6 +63,13 @@ def test_break_triple_off_diagonal_matches_transition():
                 res = break_triple_feasible(i, j, s, 2, 12)
                 if res.ok:
                     assert F(s) == psi_step(i, 2).eval(F(j))
+    # the expected s in a rejection is the transition function's value at j
+    for p in (3, 5):
+        for i in range(1, 8):
+            for j in range(1, 8):
+                reason = break_triple_feasible(i, j, 1, p, 12).reason
+                if "expected" in reason:
+                    assert f"expected {psi_step(i, p).eval(F(j))}, got 1" in reason
 
 
 # -- plan containers -----------------------------------------------------------
@@ -87,6 +94,20 @@ def test_plan_json_round_trip():
     assert TowerPlan.from_json_dict(plan2.to_json_dict()) == plan2
     with pytest.raises(InputError):
         TowerPlan.from_json_dict({"kind": "apf", "p": 2, "e0": 2, "bogus": 1})
+
+
+def test_plan_json_round_trips_optional_fields():
+    # eps_bound, a flat scaling and strict = false are written only when set
+    apf = {"kind": "apf", "p": 3, "e0": 4, "depth": 3, "eps": [1, 2], "base": {"i1": 5, "i": 7},
+           "scaling": "flat", "eps_bound": 2, "strict": False}
+    nonapf = {"kind": "nonapf", "p": 2, "e0": 2, "schedule": [1, 3], "strict": False}
+    for data in (apf, nonapf):
+        plan = TowerPlan.from_json_dict(data)
+        assert plan.to_json_dict() == data and TowerPlan.from_json_dict(plan.to_json_dict()) == plan
+    plan = TowerPlan.from_json_dict(apf)
+    assert (plan.scaling, plan.eps_bound, plan.strict) == ("flat", 2, False)
+    with pytest.raises(InputError, match="^eps entries exceed the declared bound 1$"):
+        TowerPlan.from_json_dict({**apf, "eps_bound": 1})
 
 
 def test_break_sequence_round_trip():
