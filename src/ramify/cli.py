@@ -500,6 +500,8 @@ def main(argv=None) -> int:
         return _fail("inconsistent-presentation", exc, 3)
     except CapExceededError as exc:
         return _fail("cap-exceeded", exc, 4)
+    except MemoryError:  # a memory limit on the process, met before any cap of ours
+        return _fail("cap-exceeded", CapExceededError("out of memory"), 4)
 
 
 def _fail(code: str, exc: Exception, status: int) -> int:

@@ -14,7 +14,9 @@ break of the growing tower exactly.  Two families are built in:
   a doubling schedule (t_{n+1} = p*t_n + c) certifies constant increments.
 
 Verdicts are only ever issued together with a certificate; finite data
-without structure yields "undetermined".
+without structure yields "undetermined".  Plans and merges run on integers:
+lower breaks, indices, steps and ratio comparisons are ints, and a Fraction
+is built only for a value that is printed (an upper break, ratio or bound).
 """
 
 from __future__ import annotations
@@ -53,13 +55,14 @@ def cyclic_break_admissible(j: int, p: int, e: int, strict: bool = True) -> bool
     require_prime(p)
     require_posint("break", j)
     require_posint("ramification index", e)
-    # j against p*e/(p-1), compared as j*(p-1) against p*e
+    return _admissible(j, p, e, strict)
+
+
+def _admissible(j: int, p: int, e: int, strict: bool) -> bool:
+    """The rule of `cyclic_break_admissible` on checked integers: j against
+    p*e/(p-1) compared as j*(p-1) against p*e, and p | j only at the bound."""
     scaled, bound = j * (p - 1), p * e
-    if scaled > bound:
-        return False
-    if strict and j % p == 0 and scaled != bound:
-        return False
-    return True
+    return scaled == bound or scaled < bound and not (strict and j % p == 0)
 
 
 class FeasibilityResult(Record):
@@ -177,16 +180,13 @@ class TowerPlan(Record):
 
     def step_break(self, k: int) -> int:
         """The scheduled break i_1(2k+1) for k >= 2 under this plan's scaling."""
-        head = Fraction(self.p * self.e0, self.p - 1)
-        if self.scaling == "scaled":
-            val = (k - 2) * self.e0 + head - self.eps_at(k)
-        else:
-            val = head - self.eps_at(k)
-        if val.denominator != 1:
-            raise InfeasiblePlanError(
-                f"step break at level {2 * k + 1} is not an integer: {format_rat(val)}"
-            )
-        out = int(val)
+        p, e0 = self.p, self.e0
+        level = (k - 2) * e0 if self.scaling == "scaled" else 0
+        num = (level - self.eps_at(k)) * (p - 1) + p * e0  # the break times p - 1
+        out, rem = divmod(num, p - 1)
+        if rem:
+            raise InfeasiblePlanError(f"step break at level {2 * k + 1} is not an "
+                                      f"integer: {format_rat(Fraction(num, p - 1))}")
         if out < 1:
             raise InfeasiblePlanError(
                 f"step break at level {2 * k + 1} is not positive: {out}"
@@ -355,7 +355,8 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
     its own depth and may only be applied while the running upper break
     stays at or above the step's break (the transition formula's domain).
     There a step with break b maps the running break u to the inverse of
-    its transition function at u, b + (u - b)/p; no function is built.
+    its transition function at u, b + (u - b)/p, run as one integer
+    numerator over p^k; no function is built.
     """
     if plan.kind != "apf":
         raise InputError(f"apf_plan needs an apf plan, got kind {plan.kind!r}")
@@ -367,13 +368,13 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
         e_i1 = e0
         e_top = p * e0
     i1, i = plan.base_i1, plan.base_i
-    if not cyclic_break_admissible(i1, p, e_i1, strict=plan.strict):
+    if not _admissible(i1, p, e_i1, plan.strict):
         raise InfeasiblePlanError(
-            f"base break i1 = {i1} is inadmissible over index {e_i1}"
+            f"base break i1 = {i1} is inadmissible over index {format_rat(e_i1)}"
         )
-    if not cyclic_break_admissible(i, p, e_top, strict=False):
+    if not _admissible(i, p, e_top, False):
         raise InfeasiblePlanError(
-            f"base break i = {i} exceeds the cyclic bound at index {e_top}"
+            f"base break i = {i} exceeds the cyclic bound at index {format_rat(e_top)}"
         )
     if i <= i1:
         raise InfeasiblePlanError(f"base requires i > i1, got i = {i}, i1 = {i1}")
@@ -381,23 +382,24 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
         raise InfeasiblePlanError(
             f"p = {p} must not divide i - i1 = {i - i1}"
         )
-    upper = [i1 + Fraction(i - i1, p)]
-    lower = [Fraction(i1)]
+    num, scale = i1 * (p - 1) + i, p  # the running break is num/scale
+    upper = [Fraction(num, scale)]
+    lower = [i1]
     levels = [3]
     for k in range(2, n_max + 1):
         brk = plan.step_break(k)
         e_k = plan.step_index(k)
-        if not cyclic_break_admissible(brk, p, e_k, strict=plan.strict):
-            raise InfeasiblePlanError(
-                f"step break {brk} at level {2 * k + 1} is inadmissible over index {e_k}"
-            )
-        if upper[-1] < brk:
+        if not _admissible(brk, p, e_k, plan.strict):
+            raise InfeasiblePlanError(f"step break {brk} at level {2 * k + 1} is "
+                                      f"inadmissible over index {format_rat(e_k)}")
+        if num < brk * scale:
             raise InfeasiblePlanError(
                 f"transition precondition fails at level {2 * k + 1}: "
                 f"running break {format_rat(upper[-1])} < step break {brk}"
             )
-        upper.append(brk + (upper[-1] - brk) / p)
-        lower.append(Fraction(brk))
+        num, scale = num + brk * (p - 1) * scale, scale * p
+        upper.append(Fraction(num, scale))
+        lower.append(brk)
         levels.append(2 * k + 1)
     if plan.scaling == "scaled":
         verdict_val = VERDICT_APF
@@ -488,22 +490,23 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
     certify a finite bound; for custom plans a doubling schedule
     t_{n+1} = p*t_n + c certifies constant increments and an APF verdict.
 
-    Upper breaks come from `tower_upper_breaks`; the increment
-    u_(n+1) - u_n is (t_(n+1) - t_n)/p^n and the ratio of two consecutive
-    increments (t_(n+2) - t_(n+1))/(p*(t_(n+1) - t_n)), each one Fraction of
-    integers.  No transition function is built.
+    The verdict is read off the integer steps d_k = t_(k+1) - t_k alone.  The
+    increment u_(k+1) - u_k is d_k/p^k, so the increments are all equal iff
+    d_(k+1) = p*d_k throughout, and the ratio of two consecutive ones is
+    d_(k+1)/(p*d_k), compared by cross-multiplying.  Upper breaks come
+    from `tower_upper_breaks`, lower breaks are the schedule's ints, and the
+    only other Fractions are the printed ratio, increment and bound.
     """
     if plan.kind not in ("nonapf", "custom"):
         raise InputError(f"nonapf_plan needs a schedule plan, got kind {plan.kind!r}")
-    p, e0 = plan.p, plan.e0
-    schedule = list(plan.schedule)
+    p, schedule = plan.p, plan.schedule
     warnings = []
     flags = [False] * len(schedule)
+    e_n = plan.e0  # the index p^(n-1)*e0 of level n
     for n, t in enumerate(schedule, start=1):
-        e_n = p ** (n - 1) * e0
-        if not cyclic_break_admissible(t, p, e_n, strict=plan.strict):
+        if not _admissible(t, p, e_n, plan.strict):
             raise InfeasiblePlanError(
-                f"break {t} at level {n} is inadmissible over index {e_n}"
+                f"break {t} at level {n} is inadmissible over index {format_rat(e_n)}"
             )
         if n >= 2 and (t - schedule[n - 2]) % p == 0:
             warnings.append(
@@ -511,34 +514,39 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
                 f"{t} - {schedule[n - 2]}; non-normality of the step is not guaranteed"
             )
             flags[n - 1] = True
+        e_n *= p
     upper = tower_upper_breaks(schedule, p)
     steps = [b - a for a, b in itertools.pairwise(schedule)]
-    diffs = [Fraction(d, p ** (k + 1)) for k, d in enumerate(steps)]
     verdict_val, bound, cert = VERDICT_UNDETERMINED, None, None
     # increments all equal iff t_(n+2) - p*t_(n+1) = t_(n+1) - p*t_n throughout,
     # iff the schedule doubles as t_(n+1) = p*t_n + c with c = t_2 - p*t_1
-    if plan.kind == "custom" and diffs and all(d == diffs[0] for d in diffs):
+    if plan.kind == "custom" and steps and all(b == p * a for a, b in itertools.pairwise(steps)):
         c = schedule[1] - p * schedule[0]
         if c >= 1:
             verdict_val = VERDICT_APF
             cert = (
                 f"doubling schedule t_(n+1) = {p}*t_n + {c}: upper-break "
-                f"increments are constant at {format_rat(diffs[0])} > 0"
+                f"increments are constant at {format_rat(Fraction(steps[0], p))} > 0"
             )
-    if verdict_val == VERDICT_UNDETERMINED and len(diffs) >= 2:
-        ratios = [Fraction(b, p * a) for a, b in itertools.pairwise(steps)]
-        # never below 1/p, the ratio of the continuation that repeats the last difference
-        r = max(ratios + [Fraction(1, p)])
-        if r < 1:
+    if verdict_val == VERDICT_UNDETERMINED and len(steps) >= 2:
+        # the largest ratio as y/(p*x), never below 1/p: the ratio of the
+        # continuation that repeats the last difference
+        x = y = 1
+        for a, b in itertools.pairwise(steps):
+            if b * x > y * a:
+                x, y = a, b
+        if y < p * x:
             verdict_val = VERDICT_NON_APF
-            bound = upper[-1] + diffs[-1] * r / (1 - r)
+            r = Fraction(y, p * x)
+            # the last increment d/p^len(steps) times r/(1 - r) = y/(p*x - y)
+            bound = upper[-1] + Fraction(steps[-1] * y, p ** len(steps) * (p * x - y))
             cert = (
                 f"increment ratios stay at or below {format_rat(r)} < 1; geometric "
                 f"tail bounds the sequence by {format_rat(bound)}"
             )
     return BreakSequence(
         levels=tuple(range(1, len(schedule) + 1)),
-        lower=tuple(Fraction(t) for t in schedule),
+        lower=schedule,
         upper=upper,
         verdict=verdict_val,
         limit_bound=bound,
@@ -576,17 +584,16 @@ def compositum_merge(seqs: Sequence[BreakSequence]) -> BreakSequence:
             raise InputError(
                 f"horizon mismatch: {s.horizon} != {horizon}"
             )
-    merged = [max(s.upper[k] for s in seqs) for k in range(horizon)]
-    flags = []
-    for k in range(horizon):
-        vals = [s.upper[k] for s in seqs]
-        collide = len(set(vals)) < len(vals)
-        inherited = any(s.flag_at(k) for s in seqs)
-        flags.append(collide or inherited)
-    level_sets = {s.levels for s in seqs}
-    levels = seqs[0].levels if len(level_sets) == 1 else tuple(range(1, horizon + 1))
-    lowers = {s.lower for s in seqs}
-    lower = seqs[0].lower if len(lowers) == 1 else ()
+    merged, flags = [], []
+    for k, vals in enumerate(zip(*(s.upper for s in seqs))):
+        merged.append(max(vals))
+        # equal rationals have equal reduced pairs, which hash far cheaper than Fractions
+        collide = len({(v.numerator, v.denominator) for v in vals}) < len(vals)
+        flags.append(collide or any(s.flag_at(k) for s in seqs))
+    first = seqs[0]
+    same_levels = all(s.levels == first.levels for s in seqs)
+    levels = first.levels if same_levels else tuple(range(1, horizon + 1))
+    lower = first.lower if all(s.lower == first.lower for s in seqs) else ()
     warnings = tuple(w for s in seqs for w in s.warnings)
     verdict_val, bound, cert = VERDICT_UNDETERMINED, None, None
     dominating = _dominating_apf_tail(seqs, merged, flags)
@@ -651,15 +658,15 @@ def repair_merge(base: BreakSequence, family_bounds: Sequence) -> BreakSequence:
         if b < 0:
             raise InputError(f"family bounds must be nonnegative, got {format_rat(b)}")
     merged = tuple(max(base.upper[k], fam[k]) for k in range(base.horizon))
-    steps = {b - a for a, b in zip(fam, fam[1:])}
+    steps = [b - a for a, b in itertools.pairwise(fam)]
     if base.verdict == VERDICT_APF:
         verdict_val, bound, cert = VERDICT_APF, None, base.certificate
     elif all(b == 0 for b in fam):
         verdict_val, bound, cert = base.verdict, base.limit_bound, base.certificate
-    elif len(steps) == 1 and min(steps) > 0:
+    elif steps and steps[0] > 0 and steps.count(steps[0]) == len(steps):
         verdict_val, bound = VERDICT_APF, None
         cert = (
-            f"family bounds strictly increase (smallest step {format_rat(min(steps))}); "
+            f"family bounds strictly increase (smallest step {format_rat(steps[0])}); "
             f"the merged sequence exceeds every bound"
         )
     else:

@@ -1,7 +1,8 @@
 """Exact rational helpers.
 
-All break coordinates in this package are `fractions.Fraction` values:
-arbitrary precision, always reduced, positive denominator.  These helpers
+All break coordinates in this package are exact: `fractions.Fraction`
+values (always reduced, positive denominator), or ints where a break is
+integral by construction, such as a plan's lower breaks.  These helpers
 pin down the one serialization used everywhere ("num" or "num/den") and a
 strict parser for it, along with the strict checks on the other scalars
 and objects of the input schema.
@@ -19,8 +20,8 @@ _RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def format_rat(value: Fraction) -> str:
-    """Serialize a rational as "num" or "num/den" (reduced, den > 0)."""
-    if not isinstance(value, Fraction):
+    """Serialize a rational as "num" or "num/den" (reduced, den > 0); an int builds no Fraction."""
+    if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
     try:
         if value.denominator == 1:

@@ -573,6 +573,34 @@ def test_output_past_the_digit_limit_is_cap_exceeded(tmp_path, capsys):
     assert (code, out, json.loads(err)) == (4, "", want)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+                    reason="no digit limit on int-to-str conversion")
+@pytest.mark.parametrize("plan", [
+    {"kind": "nonapf", "schedule": [1, 22]},
+    {"kind": "apf", "depth": 2, "eps": [1], "base": {"i1": 11, "i": 13}},
+], ids=["nonapf-e_n", "apf-e_i1"])
+def test_plan_error_quoting_an_index_past_the_digit_limit_is_cap_exceeded(plan, tmp_path, capsys):
+    # e0 has exactly limit digits, so it parses, but the level-2 index 11*e0 that
+    # the inadmissibility text quotes does not print
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({**plan, "p": 11, "e0": 10**limit - 1}))
+    code, out, err = run_cli(["plan", "run", "--file", str(path)], capsys)
+    assert (code, out, json.loads(err)["code"]) == (4, "", "cap-exceeded")
+
+
+def test_memory_error_exits_four_with_json_error(heis3_file, capsys, monkeypatch):
+    import ramify.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "group", (exhausted, *cli._COMMANDS["group"][1:]))
+    code, out, err = run_cli(["group", "check", "--file", heis3_file], capsys)
+    assert (code, out, json.loads(err)) == (4, "", {"code": "cap-exceeded",
+                                                    "error": "out of memory"})
+
+
 def test_parser_built_once_and_reusable(heis3_file, capsys):
     from ramify.cli import build_parser
 

@@ -1,5 +1,7 @@
 """Unit tests for tower planning, break sequences, and merges."""
 
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,7 @@ from ramify import (
     tower_upper_breaks,
     verdict,
 )
+from ramify.cli import _seq_csv, main
 from ramify.herbrand import invert, psi_step
 
 # -- admissibility and feasibility -------------------------------------------
@@ -317,6 +320,14 @@ def test_merge_fixture():
     assert merged.flags == (True, True, False)
 
 
+def test_merge_flags_equal_values_only():
+    # a collision is an equal value, however written; a shared numerator or
+    # denominator alone is not one
+    a = BreakSequence.from_json_dict({"upper": ["1/2", "1/3", "1/3", "2"]})
+    b = BreakSequence.from_json_dict({"upper": ["2/4", "1/5", "2/3", "4/2"]})
+    assert compositum_merge([a, b]).flags == (True, False, False, True)
+
+
 def test_merge_single_input_identity():
     a = _seq([1, 2, 4])
     merged = compositum_merge([a])
@@ -548,6 +559,15 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
+def _assert_same_outcome(fn, reference, plan):
+    """Equal records, and equal printed bytes in both output formats."""
+    got, want = _outcome(fn, plan), _outcome(reference, plan)
+    assert got == want
+    if isinstance(want, BreakSequence):
+        assert got.to_json_dict() == want.to_json_dict()
+        assert _seq_csv(got) == _seq_csv(want)
+
+
 _primes = st.sampled_from([2, 3, 5, 7])
 
 _increasing = st.builds(
@@ -592,13 +612,13 @@ def _apf_plans(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_schedule_plans())
 def test_nonapf_plan_matches_plfunc_form(plan):
-    assert _outcome(nonapf_plan, plan) == _outcome(_plfunc_nonapf_plan, plan)
+    _assert_same_outcome(nonapf_plan, _plfunc_nonapf_plan, plan)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_apf_plans())
 def test_apf_plan_matches_plfunc_form(plan):
-    assert _outcome(apf_plan, plan) == _outcome(_plfunc_apf_plan, plan)
+    _assert_same_outcome(apf_plan, _plfunc_apf_plan, plan)
 
 
 def test_plans_build_no_transition_function(monkeypatch):
@@ -617,3 +637,44 @@ def test_plans_build_no_transition_function(monkeypatch):
     assert built == []
     tower_psi([1, 3], 2)
     assert len(built) == 1  # the counter sees every construction
+
+
+def _seeded_schedule(shape, p, horizon, seed=20):
+    rng = random.Random(seed)
+    sched = [rng.randint(1, 5)]
+    while len(sched) < horizon:
+        last = sched[-1]
+        sched.append({"random": last + rng.randint(1, 9), "arith": last + 2,
+                      "doubling": p * last + 1}[shape])
+    return sched
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("kind, shape, verdict_", [
+    ("nonapf", "random", "undetermined"),
+    ("nonapf", "arith", "non-APF"),
+    ("custom", "doubling", "APF"),
+])
+def test_plan_run_builds_a_fraction_per_upper_break(kind, shape, verdict_, fmt, tmp_path,
+                                                    capsys, monkeypatch):
+    # only the printed rationals are Fractions: the upper breaks, plus the ratio,
+    # increment or bound the certificate quotes; lower breaks stay the schedule's ints
+    horizon, p = 120, 3
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"kind": kind, "p": p, "e0": 10, "strict": False,
+                                "schedule": _seeded_schedule(shape, p, horizon)}))
+    argv = ["plan", "run", "--format", fmt, "--file", str(path)]
+    assert main(argv) == 0  # loads the layers before counting
+    capsys.readouterr()
+    built, new = [], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    assert f'"verdict": "{verdict_}"' in out
+    assert len(built) <= horizon + 4

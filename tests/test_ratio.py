@@ -1,5 +1,6 @@
 """Unit tests for the rational serialization helpers and input checks."""
 
+import sys
 import time
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ramify import InputError, format_rat, is_prime, parse_rat
+from ramify import CapExceededError, InputError, format_rat, is_prime, parse_rat
 from ramify.ratio import reject_unknown, require_posint, require_prime
 
 
@@ -16,6 +17,18 @@ def test_format_fixtures():
     assert format_rat(F(-7, 2)) == "-7/2"
     assert format_rat(F(6, 4)) == "3/2"
     assert format_rat(0) == "0"
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, -12, 10**40, -(10**40), True, False])
+def test_format_int_matches_fraction(n):
+    assert format_rat(n) == format_rat(F(n))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+                    reason="no digit limit on int-to-str conversion")
+def test_format_int_past_the_digit_limit_is_cap_exceeded():
+    with pytest.raises(CapExceededError, match="^output: an integer has more than"):
+        format_rat(10 ** sys.get_int_max_str_digits())  # one digit past the limit
 
 
 def test_parse_fixtures():
