@@ -31,7 +31,7 @@ from .record import Record
 class CosetGroup:
     """Quotient G/N on canonical coset representatives: the least element of
     each coset, the one with zeros at N's leading depths, which ``N.sift``
-    clears."""
+    clears.  The ambient group's cap bounds the quotient and its spans."""
 
     def __init__(self, group: PcGroup, kernel: Subgroup):
         if kernel.group is not group:
@@ -40,7 +40,7 @@ class CosetGroup:
             raise InputError("kernel must be a normal subgroup")
         self.ambient = group
         self.kernel = kernel
-        self.p = group.p
+        self.p, self.cap = group.p, group.cap
 
     @property
     def order(self) -> int:
@@ -49,7 +49,7 @@ class CosetGroup:
     def elements(self) -> list[Element]:
         """The representatives in increasing order: exponent 0 at the
         kernel's depths, anything at the others."""
-        self.ambient.elements()  # the ambient group's cap bounds every quotient
+        self.ambient._require_cap()
         depths = set(self.kernel.depths)
         return list(itertools.product(
             *[range(1) if d in depths else range(self.p) for d in range(self.ambient.pres.n)]))

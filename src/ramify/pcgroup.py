@@ -22,9 +22,10 @@ Every subgroup (closures, normal closures, both series, the Frattini
 subgroup) is grown from generators by ``span`` as an induced polycyclic
 generating sequence (Holt, Eick and O'Brien, ch. 8): at most n rows, so
 order, membership and equality cost polynomially many products, and the
-element set is enumerated only when asked for.  Frattini subgroups need
-p-th powers of generators only, as H/[H, H] is abelian; the lower p-series
-is spanned from the lower central series (``lower_p_series``).
+element set is enumerated only when asked for; the group's ``cap`` bounds
+every span.  Frattini subgroups need p-th powers of generators only, as
+H/[H, H] is abelian; the lower p-series is spanned from the lower central
+series (``lower_p_series``).
 """
 
 from __future__ import annotations
@@ -414,17 +415,19 @@ class Subgroup:
     1.  Each element of H is r_1^e_1 ... r_m^e_m, rows in increasing depth
     and 0 <= e < p, in exactly one way, so |H| = p^m.  ``sift`` clears x
     at the rows' depths by right multiplication with powers of the rows, so
-    x is in H iff it sifts to the identity.  Subgroups of one group are
-    equal iff their canonical rows (each sifted at the other rows' depths)
-    agree.  ``elements`` enumerates H on first use only.
+    x is in H iff it sifts to the identity.  The depth set is an invariant
+    of H and fixes |H|, so subgroups of one group with equal depths are
+    equal iff the rows of one lie in the other; they hash by depths.
+    ``elements`` enumerates H on first use only.
 
-    ``group`` is a ``PcGroup`` or a quotient with the same operations whose
-    elements have the same depth and additive leading exponent.  H holds
-    the tail G_t = <a_t, ..., a_n> for t = ``_tail``, the least depth with a
-    row at every depth from it on.  As G_t is a subgroup and multiplying by
-    it keeps the exponents before t (every rhs of a_j lies after a_j), the
-    sift of x at depths >= t is x's prefix with zeros, for no product; also
-    on a quotient G/N, where no row sits at a depth of N.
+    ``group`` is a ``PcGroup`` or a quotient with the same operations and
+    ``cap`` whose elements have the same depth and additive leading
+    exponent.  H holds the tail G_t = <a_t, ..., a_n> for t = ``_tail``,
+    the least depth with a row at every depth from it on.  As G_t is a
+    subgroup and multiplying by it keeps the exponents before t (every rhs
+    of a_j lies after a_j), the sift of x at depths >= t is x's prefix with
+    zeros, for no product; also on a quotient G/N, where no row sits at a
+    depth of N.
     """
 
     def __init__(self, group, powers: list):
@@ -433,7 +436,6 @@ class Subgroup:
         self._powers = powers
         self._tail = max((d + 1 for d, pw in enumerate(powers) if not pw), default=0)
         self._elements: frozenset | None = None
-        self._canonical: tuple | None = None
 
     @property
     def rows(self) -> tuple:
@@ -447,13 +449,13 @@ class Subgroup:
     def order(self) -> int:
         return self.group.p ** len(self.rows)
 
-    def sift(self, x: Element, start: int = 0) -> Element:
-        """x times powers of the rows at depths >= ``start``, in increasing
-        depth, so that x has zeros there.  The leading exponent is additive,
-        so each step clears its depth and leaves the earlier ones.  From the
+    def sift(self, x: Element) -> Element:
+        """x times powers of the rows, in increasing depth, so that x has
+        zeros at the rows' depths.  The leading exponent is additive, so
+        each step clears its depth and leaves the earlier ones.  From the
         tail on, the zeros are written at once."""
-        p, powers, m = self.group.p, self._powers, max(self._tail, start)
-        for d in range(start, m):
+        p, powers, m = self.group.p, self._powers, self._tail
+        for d in range(m):
             if x[d] and powers[d]:
                 x = self.group.product(x, powers[d][p - x[d]])
         return x[:m] + (0,) * (len(x) - m)
@@ -462,21 +464,14 @@ class Subgroup:
         # a non-identity element of H is nonzero at its depth, a row depth
         return not any(self.sift(x))
 
-    def canonical_rows(self) -> tuple:
-        """The rows sifted at the other rows' depths: the same for every
-        induced pcgs of H."""
-        if self._canonical is None:
-            self._canonical = tuple(self.sift(r, _depth(r) + 1) for r in self.rows)
-        return self._canonical
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return (self.group is other.group and len(self.rows) == len(other.rows)
-                and self.canonical_rows() == other.canonical_rows())
+        return (self.group is other.group and self.depths == other.depths
+                and all(r in self for r in other.rows))
 
     def __hash__(self) -> int:
-        return hash(self.canonical_rows())
+        return hash(self.depths)
 
     @property
     def elements(self) -> frozenset:
@@ -503,8 +498,7 @@ class Subgroup:
 
 
 def span(
-    group, gens: Iterable[Element], conj: Iterable[Element] = (), cap: int = DEFAULT_CAP,
-    base: Subgroup | None = None,
+    group, gens: Iterable[Element], conj: Iterable[Element] = (), base: Subgroup | None = None
 ) -> Subgroup:
     """The subgroup generated by ``gens`` and ``base``, normalized by ``conj``.
 
@@ -515,7 +509,8 @@ def span(
     those sift to the identity, so the rows' normal words are closed under
     products (an induced pcgs) and normalized by <conj>.  The rows start as
     those of ``base`` (closed, and normalized by ``conj``), so only ``gens``
-    and new rows' words are sifted.  A subgroup of order above ``cap`` raises.
+    and new rows' words are sifted.  A subgroup of order above ``group.cap``
+    raises.
     """
     p, identity = group.p, group.identity()
     prod, inv = group.product, group.inverse
@@ -526,7 +521,7 @@ def span(
         x = sub.sift(x)
         if x == identity:
             continue
-        if p ** (len(sub.rows) + 1) > cap:
+        if p ** (len(sub.rows) + 1) > group.cap:
             raise CapExceededError("subgroup closure exceeds enumeration cap")
         d = _depth(x)
         row = _powers(group, x, pow(x[d], -1, p) + 1)[-1]
@@ -563,7 +558,7 @@ class PcGroup:
         self.pres = pres
         self.cap = cap
         self._coll = _Collector(pres)
-        self._elements: list[Element] | None = None
+        self.product, self.inverse = self._coll.product, self._coll.inverse
         self._gamma: list[Subgroup] | None = None
         if not _checked:
             result = consistency_check(pres, cap=cap, coll=self._coll)
@@ -602,12 +597,6 @@ class PcGroup:
             raise InputError(f"exponents must lie in [0, {self.p}), got {exps}")
         return exps
 
-    def product(self, x: Element, y: Element) -> Element:
-        return self._coll.product(x, y)
-
-    def inverse(self, x: Element) -> Element:
-        return self._coll.inverse(x)
-
     def commutator(self, x: Element, y: Element) -> Element:
         # [x, y] = x^-1 y^-1 x y
         p = self.product
@@ -623,10 +612,8 @@ class PcGroup:
             )
 
     def elements(self) -> list[Element]:
-        if self._elements is None:
-            self._require_cap()
-            self._elements = list(itertools.product(range(self.p), repeat=self.pres.n))
-        return self._elements
+        self._require_cap()
+        return list(itertools.product(range(self.p), repeat=self.pres.n))
 
     # -- subgroups ---------------------------------------------------------
 
@@ -634,9 +621,9 @@ class PcGroup:
         """Subgroup generated by ``gens``; with ``normal`` its normal closure."""
         gens = [self.element(g) for g in gens]
         if not normal:
-            return span(self, gens, (), self.cap)
+            return span(self, gens)
         try:
-            return span(self, gens, self.pc_generators(), self.cap)
+            return span(self, gens, self.pc_generators())
         except CapExceededError:
             if _conjugates_exceed(self, gens):
                 raise CapExceededError("normal closure exceeds enumeration cap") from None
@@ -663,7 +650,7 @@ class PcGroup:
         series = [self.full_subgroup()]
         while series[-1].order > 1:
             seed = [self.commutator(x, a) for x in series[-1].rows for a in pcg]
-            series.append(span(self, seed, pcg, self.cap))
+            series.append(span(self, seed, pcg))
             if series[-1].order >= series[-2].order:
                 raise InconsistentPresentationError("lower central series does not descend")
         return series
@@ -688,7 +675,7 @@ class PcGroup:
             above, below = (gamma[min(k, len(gamma) - 1)] for k in (len(series) - 1, len(series)))
             seed = [self.power_p(x) for x in series[-1].rows]
             seed += [self.commutator(x, a) for x in series[-1].rows_beyond(above) for a in pcg]
-            series.append(span(self, seed, pcg, self.cap, base=below))
+            series.append(span(self, seed, pcg, base=below))
             if series[-1].order >= series[-2].order:
                 raise InconsistentPresentationError("lower p-series does not descend")
         return series
@@ -714,7 +701,7 @@ class PcGroup:
         rows = h.rows
         seed = [self.power_p(x) for x in rows]
         seed += [self.commutator(x, y) for i, x in enumerate(rows) for y in rows[:i]]
-        return span(self, seed, rows, self.cap)
+        return span(self, seed, rows)
 
     def min_generators(self, h: Subgroup) -> int:
         """Minimal size of a generating set: rank(H) - rank(H^p [H, H])."""
@@ -786,7 +773,6 @@ def build_tower_truncation(
     policy: str = "trivial-fill",
     power: Mapping[int, Mapping[int, int]] | None = None,
     comm: Mapping[tuple[int, int], Mapping[int, int]] | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> PcPresentation:
     """Depth-d truncation of the iterated-commutator tower a_{k+1} = [a_k, a_{k-1}].
 
@@ -809,7 +795,7 @@ def build_tower_truncation(
             raise InputError(f"tower relation [a_{j}, a_{j-1}] cannot be overridden")
         comm_map[key] = {j + 1: 1}
     pres = PcPresentation.build(p, depth, power, comm_map)
-    result = consistency_check(pres, cap=cap)
+    result = consistency_check(pres)
     if not result.ok:
         raise InconsistentPresentationError(
             f"{policy} truncation at p={p}, depth={depth} is inconsistent; "

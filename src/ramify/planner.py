@@ -89,19 +89,15 @@ def break_triple_feasible(i: int, j: int, s: int, p: int, e: int) -> Feasibility
         return FeasibilityResult(False, f"p = {p} divides j = {j}")
     if s % p == 0:
         return FeasibilityResult(False, f"p = {p} divides s = {s}")
-    bound = Fraction(p * e, p - 1)
-    if j > bound:
-        return FeasibilityResult(False, f"j = {j} exceeds the cyclic bound {format_rat(bound)}")
+    if not _admissible(j, p, e, False):
+        bound = format_rat(Fraction(p * e, p - 1))
+        return FeasibilityResult(False, f"j = {j} exceeds the cyclic bound {bound}")
     if s <= i:
         if s > j:
             return FeasibilityResult(False, f"s = {s} <= i but s > j = {j}")
-    else:
-        img = i + Fraction(s - i, p)
-        if img > j:
-            return FeasibilityResult(
-                False,
-                f"upper image i + (s - i)/p = {format_rat(img)} exceeds j = {j}",
-            )
+    elif i * (p - 1) + s > p * j:  # the upper image i + (s - i)/p exceeds j
+        img = format_rat(i + Fraction(s - i, p))
+        return FeasibilityResult(False, f"upper image i + (s - i)/p = {img} exceeds j = {j}")
     if i != j and s != (want := j if j <= i else i + p * (j - i)):
         return FeasibilityResult(
             False,
@@ -683,14 +679,12 @@ def repair_merge(base: BreakSequence, family_bounds: Sequence) -> BreakSequence:
     )
 
 
-def verdict(seq: BreakSequence, rule: str = "certified") -> str:
+def verdict(seq: BreakSequence) -> str:
     """Final verdict under the certificate-only policy.
 
     Finitely many break values prove nothing by themselves: without a
     certificate the answer is always "undetermined".
     """
-    if rule != "certified":
-        raise InputError(f"unknown verdict rule {rule!r}")
     if seq.certificate is None:
         return VERDICT_UNDETERMINED
     return seq.verdict

@@ -336,7 +336,7 @@ def test_validate_matches_full_loop(rf):
 def _load_per_element(group, ig, default=None):
     """The former constructor: each value parsed, filled and checked per
     element, then grouped into levels by hashing each value.  Returns the
-    values and the chain as (v, |S|, canonical rows of S)."""
+    values and the chain as (v, |S|, span(S))."""
     identity = group.identity()
     members = set(group.elements())
     values = {}
@@ -366,13 +366,13 @@ def _load_per_element(group, ig, default=None):
     for v in sorted(exact, reverse=True):
         size += len(exact[v])
         sub = span(group, exact[v], base=sub)
-        chain.append((v, size, sub.canonical_rows()))
+        chain.append((v, size, sub))
     return list(values.items()), chain[::-1]
 
 
 def _load_by_buckets(group, ig, default=None):
     rf = RamFiltration(group, ig, default=default, check=False)
-    return list(rf.ig.items()), [(v, size, sub.canonical_rows()) for v, size, sub in rf.levels]
+    return list(rf.ig.items()), rf.levels
 
 
 def _outcome(load, *args):

@@ -125,6 +125,20 @@ def test_cap_enforced():
         PcGroup(build_heisenberg(3), cap=10)
 
 
+def test_span_is_bounded_by_its_groups_cap():
+    # above DEFAULT_CAP, spans reach the cap the group was loaded with
+    g = PcGroup(PcPresentation.build(2, 21), cap=2**21)
+    assert span(g, g.pc_generators()).order == 2**21
+    # a quotient's spans are bounded by its ambient group's cap
+    g = PcGroup(PcPresentation.build(2, 22), cap=2**21)
+    quot = CosetGroup(g, g.subgroup([g.generator(22)]))
+    assert span(quot, quot.pc_generators()).order == 2**21
+    g = PcGroup(PcPresentation.build(2, 10), cap=2**8)
+    quot = CosetGroup(g, g.subgroup([g.generator(10)]))
+    with pytest.raises(CapExceededError, match="subgroup closure exceeds enumeration cap"):
+        span(quot, quot.pc_generators())
+
+
 # -- consistency ----------------------------------------------------------------
 
 
@@ -609,29 +623,40 @@ def test_sifting_matches_element_sets(case):
     assert sub.order == len(ref)
     assert all((x in sub) == (x in ref) for x in g.elements())
     # another induced pcgs of the same subgroup, and subgroups with other elements
-    assert g.subgroup(list(reversed(gens)) + [g.product(x, y) for x in gens for y in gens]) \
-        == g.subgroup(gens)
-    for normal_other in (False, True):
-        other = g.subgroup(others, normal=normal_other)
-        assert (sub == other) == (sub.elements == other.elements)
+    alternative = g.subgroup(list(reversed(gens)) + [g.product(x, y) for x in gens for y in gens])
+    assert alternative == g.subgroup(gens)
+    _assert_equal_iff_same_elements(
+        [sub, alternative, g.subgroup(others), g.subgroup(others, normal=True)])
     series = _ref_series(g, False)
     assert all(g.element_length(x) == sum(x in term for term in series) for x in g.elements())
     # the same sifting on a quotient, against a product BFS there
     quot = CosetGroup(g, g.normal_closure(kernel_seed))
     images = [quot.project(x) for x in gens]
-    for qsub, qref in ((span(quot, images), _ref_closure(quot, images)),
-                       (span(quot, images, quot.pc_generators()),
-                        _ref_normal_closure(quot, images))):
+    qsubs = [span(quot, images), span(quot, images, quot.pc_generators())]
+    for qsub, qref in zip(qsubs, (_ref_closure(quot, images), _ref_normal_closure(quot, images))):
         assert qsub.elements == qref
         assert qsub.order == len(qref)
         assert all((c in qsub) == (c in qref) for c in quot.elements())
+    products = [quot.product(x, y) for x in images for y in images]
+    _assert_equal_iff_same_elements(
+        qsubs + [span(quot, images[::-1] + products), span(quot, quot.pc_generators()),
+                 span(quot, [quot.project(x) for x in others])])
 
 
-def _sift_depth_by_depth(sub, x, start=0):
+def _assert_equal_iff_same_elements(subs):
+    """Subgroups of one group are equal iff their element sets are, and
+    equal subgroups hash equal."""
+    for a in subs:
+        for b in subs:
+            assert (a == b) == (a.elements == b.elements)
+            assert a != b or hash(a) == hash(b)
+
+
+def _sift_depth_by_depth(sub, x):
     """The plain sift: x times the row's (p - x[d])-th power at every row
-    depth d >= start where x is nonzero, one product per factor."""
+    depth d where x is nonzero, one product per factor."""
     g, rows = sub.group, dict(zip(sub.depths, sub.rows))
-    for d in range(start, len(x)):
+    for d in range(len(x)):
         if x[d] and d in rows:
             for _ in range(g.p - x[d]):
                 x = g.product(x, rows[d])
@@ -662,10 +687,7 @@ def test_sift_matches_depth_by_depth_loop(case):
         assert sub._tail == tail
         project = getattr(sub.group, "project", lambda x: x)
         for x in [project(x) for x in xs] + list(sub.rows):
-            for start in range(n + 1):
-                assert sub.sift(x, start) == _sift_depth_by_depth(sub, x, start)
-        assert sub.canonical_rows() == tuple(_sift_depth_by_depth(sub, r, d + 1)
-                                             for d, r in zip(sub.depths, sub.rows))
+            assert sub.sift(x) == _sift_depth_by_depth(sub, x)
 
 
 def test_probes_collect_few_products():

@@ -389,8 +389,6 @@ def test_verdict_policy():
     raw = _seq([1, 2, 3], "APF", None, None)
     assert verdict(certified) == "APF"
     assert verdict(raw) == "undetermined"
-    with pytest.raises(InputError):
-        verdict(certified, rule="optimistic")
 
 
 # -- merge properties ----------------------------------------------------------------
