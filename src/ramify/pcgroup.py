@@ -30,6 +30,8 @@ series (``lower_p_series``).
 
 from __future__ import annotations
 
+import array
+import bisect
 import functools
 import itertools
 from typing import Iterable, Mapping, Sequence
@@ -45,6 +47,8 @@ DEFAULT_CAP = 2**20
 # the default check still reports a cap below this order as the table error
 _TABLE_VERIFY_LIMIT = 256
 _MAX_COLLECT_STEPS = 2_000_000
+# products (and inverses) a collector keeps; a full cache starts over
+_CACHE_LIMIT = 2**16
 
 
 def _clean_rhs(rhs, j: int, n: int, p: int, what: str) -> tuple[tuple[int, int], ...]:
@@ -262,6 +266,8 @@ class _Collector:
         key = (x, y)
         cached = self._cache.get(key)
         if cached is None:
+            if len(self._cache) >= _CACHE_LIMIT:
+                self._cache.clear()
             letters = [(g, y[g]) for g in range(len(y) - 1, -1, -1) if y[g]]
             cached = self._cache[key] = self._collect(list(x), letters)
         return cached
@@ -277,6 +283,8 @@ class _Collector:
                 if acc[k]:
                     step = tuple(p - acc[k] if j == k else 0 for j in range(n))
                     acc, cached = self.product(acc, step), self.product(cached, step)
+            if len(self._inv_cache) >= _CACHE_LIMIT:
+                self._inv_cache.clear()
             self._inv_cache[x] = cached
         return cached
 
@@ -290,16 +298,22 @@ class ConsistencyResult(Record):
         return self.ok
 
 
-def _weights(pres: PcPresentation) -> list[int] | None:
-    """The least weights the relations allow, w_k >= w_j + w_i for a_k in the
-    rhs of [a_j, a_i] and w_k >= w_j + 1 in that of a_j^p, in one ascending
-    pass (every rhs lies above its j); None where ``consistency_check``'s
-    theorem does not apply."""
-    w = [1] * pres.n
+def _weights(pres: PcPresentation) -> list[int]:
+    """The weights ``consistency_check`` tests by.  The least ones the
+    relations allow, w_k >= w_j + w_i for a_k in the rhs of [a_j, a_i] and
+    w_k >= w_j + 1 in that of a_j^p, where they are at most 2 (no test is
+    left then, in any order); else the least non-decreasing ones, w_k also
+    >= w_(k-1).  Both in one ascending pass, as every rhs lies above its j
+    and the rows come by ascending j."""
+    least, rising, done = [1] * pres.n, [1] * pres.n, 1  # rising[:done] are final
     for (j, i), rhs in pres.relations:  # a power (i = 0) adds weight 1
+        for k in range(done, j):
+            rising[k] = max(rising[k], rising[k - 1])
+        done = j
         for k, _ in rhs:
-            w[k - 1] = max(w[k - 1], w[j - 1] + (w[i - 1] if i else 1))
-    return None if max(w) > 2 and any(a > b for a, b in zip(w, w[1:])) else w
+            for w in least, rising:
+                w[k - 1] = max(w[k - 1], w[j - 1] + (w[i - 1] if i else 1))
+    return least if max(least) <= 2 else list(itertools.accumulate(rising, max))
 
 
 def _overlap_triples(pres: PcPresentation, weights: list[int] | None = None
@@ -308,29 +322,31 @@ def _overlap_triples(pres: PcPresentation, weights: list[int] | None = None
 
     These are the classical overlap tests: generator triples a_k, a_j, a_i
     (k > j > i) and the power overlaps a_j^p against neighbours and itself.
-    Given ``weights``, only the tests of weight at most their maximum c, in
-    the same order; without, all of them (zero weights pass every bound).
+    Given ``weights`` (non-decreasing where their maximum c exceeds 2), only
+    the tests of weight at most c, in the same order, each loop ending at its
+    first heavier test; without, all of them (zero weights pass every bound).
     """
     n, p = pres.n, pres.p
     w, c = (weights, max(weights)) if weights else ([0] * n, 1)
     if weights and c <= 2:  # every test weighs at least 3
         return
-    # a_j and a_j^(p-1), indexed from 0
-    gen = [pres.generator(j) for j in range(1, n + 1)]
-    power_word = [tuple(p - 1 if e else 0 for e in a) for a in gen]
-    for j in range(n):
-        if 2 * w[j] + 1 <= c:
-            yield gen[j], power_word[j], gen[j]
-    for j in range(1, n):
-        for i in range(j):
-            if w[j] + w[i] + 1 <= c:
-                yield power_word[j], gen[j], gen[i]
-                yield gen[j], power_word[i], gen[i]
-    for k in range(2, n):
-        for j in range(1, k):
-            for i in range(j):
-                if w[k] + w[j] + w[i] <= c:
-                    yield gen[k], gen[j], gen[i]
+
+    def end(bound: int, hi: int) -> int:  # range(end) holds the i < hi with w_i <= bound
+        return bisect.bisect_right(w, bound, 0, hi)
+
+    m = end(c - 1 - w[0], n)  # no test takes a_j for j > m
+    gen = [pres.generator(j) for j in range(1, m + 1)]  # a_j, indexed from 0
+    power_word = [tuple(p - 1 if e else 0 for e in a) for a in gen]  # a_j^(p-1)
+    for j in range(end((c - 1) // 2, n)):
+        yield gen[j], power_word[j], gen[j]
+    for j in range(1, m):
+        for i in range(end(c - 1 - w[j], j)):
+            yield power_word[j], gen[j], gen[i]
+            yield gen[j], power_word[i], gen[i]
+    for k in range(2, end(c - sum(w[:2]), n)):
+        for j in range(1, end(c - w[k] - w[0], k)):
+            for i in range(end(c - w[k] - w[j], j)):
+                yield gen[k], gen[j], gen[i]
 
 
 def consistency_check(
@@ -349,10 +365,10 @@ def consistency_check(
     generators span a central V of exponent p holding every rhs, so the
     relations are a linear image in V of the p-multiplicator of (Z/p)^d, of
     rank d + C(d, 2), and the p-covering group of (Z/p)^d pushed out along
-    it is a group of order p^n satisfying them.  Here w are the least
-    weights (``_weights``).  With c > 2 and falling weights the full list
-    runs at once, else after a failing test or a product past the collection
-    step limit, so verdict, witness and error are the full scan's.
+    it is a group of order p^n satisfying them.  Here w are ``_weights``.
+    The full list runs only to name the witness, after a failing test or a
+    product past the collection step limit, so verdict, witness and error
+    are the full scan's.
     ``exhaustive=True`` also runs Light's test on the full product table
     (generator middles suffice, as the pc generators generate the group).
     ``coll`` lends the collector (and product cache) to use; else one is
@@ -367,15 +383,12 @@ def consistency_check(
                 return x, y, z
         return None
 
-    weights = _weights(pres)
     try:
-        failed = first_failure(_overlap_triples(pres, weights))
+        failed = first_failure(_overlap_triples(pres, _weights(pres)))
     except CapExceededError:  # the full scan meets the same limit, or a failing test first
-        if weights is None:  # it was the full scan
-            raise
         failed = True
     if failed:
-        witness = failed if weights is None else first_failure(_overlap_triples(pres))
+        witness = first_failure(_overlap_triples(pres))
         return ConsistencyResult(False, witness, "overlap test failed")
     order = pres.order
     if exhaustive or (exhaustive is None and cap < order <= _TABLE_VERIFY_LIMIT):
@@ -384,13 +397,17 @@ def consistency_check(
                 f"exhaustive verification needs a table of {order}^2 products"
             )
         elements, prod = list(itertools.product(range(pres.p), repeat=pres.n)), product()
+        index = {x: k for k, x in enumerate(elements)}
+        # each product once, as the index of a normal form in ``elements``
+        table = [array.array("I", [index[prod(x, y)] for y in elements]) for x in elements]
         # Light's test: middles restricted to generators decide associativity
-        for g in (pres.generator(j) for j in range(1, pres.n + 1)):
-            for a in elements:
-                ag = prod(a, g)
-                for b in elements:
-                    if prod(ag, b) != prod(a, prod(g, b)):
-                        return ConsistencyResult(False, (a, g, b), "table verification failed")
+        for g in (index[pres.generator(j)] for j in range(1, pres.n + 1)):
+            for a, row_a in enumerate(table):
+                row_ag = table[row_a[g]]
+                for b, gb in enumerate(table[g]):
+                    if row_ag[b] != row_a[gb]:
+                        witness = elements[a], elements[g], elements[b]
+                        return ConsistencyResult(False, witness, "table verification failed")
     return ConsistencyResult(True, None, "consistent")
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the power-commutator group engine."""
 
+import itertools
 import json
 import time
 import tracemalloc
@@ -198,6 +199,31 @@ def test_overlap_verdict_matches_exhaustive(pres):
         assert (fast.witness, fast.detail) == (full.witness, full.detail)
 
 
+def _light_reference(pres):
+    """Light's test over the collector's products, one by one."""
+    prod = _Collector(pres).product
+    elements = list(itertools.product(range(pres.p), repeat=pres.n))
+    for g in (pres.generator(j) for j in range(1, pres.n + 1)):
+        for a in elements:
+            ag = prod(a, g)
+            for b in elements:
+                if prod(ag, b) != prod(a, prod(g, b)):
+                    return False, (a, g, b), "table verification failed"
+    return True, None, "consistent"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pres=_small_presentations())
+def test_table_verification_matches_products(pres):
+    # with no overlap test to stop it, an inconsistent presentation reaches
+    # the table, which must name the same failing triple
+    assume(pres.order <= 125)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ramify.pcgroup._overlap_triples", lambda pres, weights=None: iter(()))
+        res = consistency_check(pres, exhaustive=True)
+    assert (res.ok, res.witness, res.detail) == _light_reference(pres)
+
+
 @st.composite
 def _weighted_presentations(draw):
     """Presentations of weighted class 1 to 4 over p in {2, 3, 5}, n <= 7,
@@ -250,8 +276,45 @@ def test_least_weights():
     assert _weights(build_tower_truncation(3, 4)) == [1, 1, 2, 3]
     # class 2 in any order: a_1^3 = a_2 puts a weight-2 generator before a_3
     assert _weights(PcPresentation.build(3, 3, power={1: {2: 1}})) == [1, 2, 1]
-    # class 3 with a_4 of weight 1 after a_3 of weight 3: the full scan runs
-    assert _weights(PcPresentation.build(3, 4, power={1: {2: 1}, 2: {3: 1}})) is None
+    # class 3 with a_4 of weight 1 after a_3 of weight 3: a_4 takes weight 3
+    assert _weights(PcPresentation.build(3, 4, power={1: {2: 1}, 2: {3: 1}})) == [1, 2, 3, 3]
+    # a_1^3 = a_2, [a_4, a_3] = a_5, [a_7, a_6] = a_8: the least weights stay
+    # at most 2, where non-decreasing ones would be 1, 2, 2, 2, 4, 4, 4, 8
+    pres = PcPresentation.build(3, 8, power={1: {2: 1}}, comm={(4, 3): {5: 1}, (7, 6): {8: 1}})
+    assert _weights(pres) == [1, 2, 1, 1, 2, 1, 1, 2]
+
+
+def _filtered_triples(pres, w, c):
+    """The tests of weight at most c, filtered from the full list of overlap
+    tests one by one: the reference for the bounded loops of ``_overlap_triples``."""
+    n, p = pres.n, pres.p
+    gen = [pres.generator(j) for j in range(1, n + 1)]
+    power_word = [tuple(p - 1 if e else 0 for e in a) for a in gen]
+    for j in range(n):
+        if 2 * w[j] + 1 <= c:
+            yield gen[j], power_word[j], gen[j]
+    for j in range(1, n):
+        for i in range(j):
+            if w[j] + w[i] + 1 <= c:
+                yield power_word[j], gen[j], gen[i]
+                yield gen[j], power_word[i], gen[i]
+    for k in range(2, n):
+        for j in range(1, k):
+            for i in range(j):
+                if w[k] + w[j] + w[i] <= c:
+                    yield gen[k], gen[j], gen[i]
+
+
+# class 5 with w_2 > w_1: the middle loop's bound takes the lightest i, a_1
+@example(pres=PcPresentation.build(3, 5, power={1: {2: 1}}, comm={(3, 1): {4: 1}, (4, 2): {5: 1}}))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pres=_weighted_presentations())
+def test_overlap_loops_stop_at_the_first_heavy_test(pres):
+    w = _weights(pres)
+    assert w == sorted(w) or max(w) <= 2
+    assert list(_overlap_triples(pres, w)) == list(_filtered_triples(pres, w, max(w)))
+    # zero weights under c = 1 keep every test: the full list
+    assert list(_overlap_triples(pres)) == list(_filtered_triples(pres, [0] * pres.n, 1))
 
 
 def test_class_2_lists_no_overlap_test(monkeypatch):
@@ -265,6 +328,18 @@ def test_class_2_lists_no_overlap_test(monkeypatch):
     monkeypatch.setattr(PcPresentation, "generator", no_generator)
     for q, w in zip(pres, weights):
         assert list(_overlap_triples(q, w)) == []
+
+
+def test_class_2_in_any_order_checks_at_once():
+    # a_1^3 = a_2 and [a_4, a_3] = a_5, [a_7, a_6] = a_8, ...: non-decreasing
+    # weights double every third generator and would leave about n^3/6 tests
+    n = 101
+    comm = {(k + 1, k): {k + 2: 1} for k in range(3, n - 1, 3)}
+    pres = PcPresentation.build(3, n, power={1: {2: 1}}, comm=comm)
+    assert max(_weights(pres)) == 2
+    start = time.perf_counter()
+    assert consistency_check(pres).ok
+    assert time.perf_counter() - start < 0.05
 
 
 def test_check_builds_a_collector_only_for_a_test(monkeypatch):
@@ -300,6 +375,44 @@ def test_wide_presentation_check_is_fast_and_small(power, comm):
     finally:
         tracemalloc.stop()
     assert elapsed < 0.3 and peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("n, seconds", [(100, 0.1), (200, 0.1), (3000, 0.3)])
+def test_falling_least_weights_check_is_fast_and_small(n, seconds):
+    # a_3 has weight 3 and a_4..a_n weight 1 by their relations alone: the full
+    # scan ran then, 9.5 s and 304 MB traced at n = 100, past 2 GB at n = 200;
+    # the one test left needs a_1 only, not all n generators as n-tuples
+    data = {"p": 3, "n": n, "power": [{"j": 1, "rhs": {"2": 1}}, {"j": 2, "rhs": {"3": 1}}]}
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert consistency_check(PcPresentation.from_json_dict(data)).ok
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < seconds and peak < 20 * 2**20
+
+
+def test_collector_caches_are_bounded(monkeypatch):
+    bad = PcPresentation.build(2, 4, comm={(2, 1): {3: 1}, (3, 1): {4: 1}})
+    cases = [(pres, consistency_check(pres, exhaustive=True))
+             for pres in (build_tower_truncation(3, 4), bad)]
+    monkeypatch.setattr("ramify.pcgroup._CACHE_LIMIT", 16)
+    sizes, collect = [], _Collector._collect
+
+    def watched(self, v, stack):  # runs just before a product is cached
+        sizes.append(len(self._cache))
+        return collect(self, v, stack)
+
+    monkeypatch.setattr(_Collector, "_collect", watched)
+    for pres, verdict in cases:
+        assert consistency_check(pres, exhaustive=True) == verdict
+    assert max(sizes) == 15
+    g = PcGroup(build_tower_truncation(3, 4), _checked=True)
+    for x in g.elements():
+        assert g.product(x, g.inverse(x)) == g.identity()
+        assert len(g._coll._inv_cache) <= 16
+    assert max(sizes) == 15
 
 
 def test_group_load_builds_no_product_table():
@@ -846,8 +959,8 @@ def test_collection_step_limit(monkeypatch, tmp_path, capsys):
         PcGroup(PcPresentation.build(3, 4, comm={(2, 1): {3: 1}, (3, 2): {4: 1}}))
     with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
         _heis(3).lower_central_series()
-    # with falling weights the first scan is the full one: the product that
-    # passes the limit is collected to it once, not again for a witness
+    # a class-3 load whose reduced scan passes the limit: the full scan then
+    # runs for a witness and meets the limit at the same product
     stopped, collect = [], _Collector._collect
 
     def counting(self, v, stack):
@@ -859,8 +972,8 @@ def test_collection_step_limit(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(_Collector, "_collect", counting)
     with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
-        PcGroup(PcPresentation.build(3, 4, power={1: {2: 1}, 2: {3: 1}}))
-    assert len(stopped) == 1
+        PcGroup(PcPresentation.build(3, 4, power={1: {2: 1}, 2: {3: 1}}, comm={(2, 1): {3: 1}}))
+    assert stopped == [[1, 0, 0, 0]] * 2
     path = tmp_path / "heis.json"
     path.write_text(json.dumps(build_heisenberg(3).to_json_dict()))
     assert main(["group", "series", "--file", str(path)]) == 4
