@@ -15,6 +15,7 @@ numbering follows from their indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping
@@ -41,6 +42,7 @@ class CosetGroup:
         self.ambient = group
         self.kernel = kernel
         self.p, self.cap = group.p, group.cap
+        self._require_cap = group._require_cap  # the ambient cap bounds a listing
 
     @property
     def order(self) -> int:
@@ -49,10 +51,14 @@ class CosetGroup:
     def elements(self) -> list[Element]:
         """The representatives in increasing order: exponent 0 at the
         kernel's depths, anything at the others."""
-        self.ambient._require_cap()
+        self._require_cap()
         depths = set(self.kernel.depths)
         return list(itertools.product(
             *[range(1) if d in depths else range(self.p) for d in range(self.ambient.pres.n)]))
+
+    def __contains__(self, x) -> bool:
+        """Whether ``elements()`` lists x: zeros at the kernel's depths."""
+        return x in self.ambient and not any(x[d] for d in self.kernel.depths)
 
     def identity(self) -> Element:
         return self.ambient.identity()
@@ -90,41 +96,44 @@ class RamFiltration:
     filtration (``quotient_filtration``) may carry rational values, which
     are kept exact.  ``levels`` holds (v, |S|, span(S)) for each distinct
     value v, increasing, S the identity and the elements of value >= v.
-    The constructor builds it from one bucket of elements per value, each
-    span extending the one above; ``validate`` then walks it once.
+    The constructor counts the unlisted elements and spans each level from
+    the one above: one of more than |G|/p members from the pc generators,
+    others from their members; ``validate`` then walks it once.
     """
 
     def __init__(self, group, ig: Mapping[Element, object], default=None, check: bool = True):
         self.group = group
-        identity, elements = group.identity(), group.elements()
-        members = set(elements)
-        values: dict[Element, Fraction] = {}
-        buckets: dict[Fraction, list[Element]] = {}  # by value, each in ``values`` order
+        group._require_cap()  # a group past the cap is refused before any entry is read
+        identity, self._listed = group.identity(), {}
+        buckets: dict[Fraction, list[Element]] = {}  # listed elements by value, in input order
         for x, v in dict(ig).items():
             x = tuple(x)
             if x == identity:
                 raise InputError("the identity carries no finite value")
-            if x not in members:
+            if x not in group:
                 raise InputError(f"element {x} does not belong to the group")
-            values[x] = v = parse_rat(v)
+            self._listed[x] = v = parse_rat(v)
             buckets.setdefault(v, []).append(x)
-        missing = [x for x in elements if x != identity and x not in values]
-        if missing:
+        unlisted, self._fill = group.order - 1 - len(self._listed), None
+        if unlisted:
             if default is None:
-                raise InputError(f"no value for element {missing[0]} and no default given")
-            fill = parse_rat(default)
-            values.update(dict.fromkeys(missing, fill))
-            buckets.setdefault(fill, []).extend(missing)
+                x = next(self._unlisted())
+                raise InputError(f"no value for element {x} and no default given")
+            self._fill = fill = parse_rat(default)
+            buckets.setdefault(fill, [])
         for v, xs in buckets.items():
-            if v <= 0:
-                raise InputError(f"value for {xs[0]} must be positive, got {v}")
-            if v.denominator != 1:
-                raise InputError(f"value for {xs[0]} must be an integer, got {v}")
-        self.ig = values
+            must = "positive" if v <= 0 else "an integer" if v.denominator != 1 else None
+            if must:
+                x = xs[0] if xs else next(self._unlisted())
+                raise InputError(f"value for {x} must be {must}, got {v}")
         self.levels, size, sub = [], 1, None
         for v in sorted(buckets, reverse=True):
-            size += len(buckets[v])
-            sub = span(group, buckets[v], base=sub)
+            size += len(buckets[v]) + (unlisted if v == self._fill else 0)
+            if size * group.p > group.order:  # no proper subgroup holds S: it spans G
+                gens = group.pc_generators()
+            else:
+                gens = buckets[v] + (list(self._unlisted()) if v == self._fill else [])
+            sub = span(group, gens, base=sub)
             self.levels.insert(0, (v, size, sub))
         if check:
             report = self.validate()
@@ -142,17 +151,23 @@ class RamFiltration:
         rf.group, rf.ig, rf.levels = group, ig, levels
         return rf
 
+    def _unlisted(self):
+        """The unlisted elements in ``group.elements()`` order; ``any`` skips the identity."""
+        return (x for x in self.group.elements() if any(x) and x not in self._listed)
+
+    @functools.cached_property
+    def ig(self) -> dict[Element, Fraction]:
+        """Every value: the listed elements in input order, then the rest."""
+        return {**self._listed, **dict.fromkeys(self._unlisted(), self._fill)}
+
     # -- level sets -------------------------------------------------------
 
     def value_of(self, x: Element):
         """Break value of x; None for the identity (above every level)."""
         x = tuple(x)
-        if x == self.group.identity():
-            return None
-        try:
-            return self.ig[x]
-        except KeyError:
-            raise InputError(f"element {x} does not belong to the group") from None
+        if x not in self.group:
+            raise InputError(f"element {x} does not belong to the group")
+        return None if x == self.group.identity() else self.ig[x]
 
     def distinct_values(self) -> list[Fraction]:
         return [v for v, _, _ in self.levels]

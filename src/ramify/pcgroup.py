@@ -632,6 +632,10 @@ class PcGroup:
         self._require_cap()
         return list(itertools.product(range(self.p), repeat=self.pres.n))
 
+    def __contains__(self, x) -> bool:
+        """Whether ``elements()`` lists x, a tuple, without listing them."""
+        return len(x) == self.pres.n and all(e in range(self.p) for e in x)
+
     # -- subgroups ---------------------------------------------------------
 
     def subgroup(self, gens: Iterable[Element], normal: bool = False) -> Subgroup:

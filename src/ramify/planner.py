@@ -592,7 +592,7 @@ def compositum_merge(seqs: Sequence[BreakSequence]) -> BreakSequence:
     lower = first.lower if all(s.lower == first.lower for s in seqs) else ()
     warnings = tuple(w for s in seqs for w in s.warnings)
     verdict_val, bound, cert = VERDICT_UNDETERMINED, None, None
-    dominating = _dominating_apf_tail(seqs, merged, flags)
+    dominating = _dominating_apf_tail(seqs, merged)
     if dominating is not None:
         idx, k0 = dominating
         verdict_val = VERDICT_APF
@@ -617,25 +617,18 @@ def compositum_merge(seqs: Sequence[BreakSequence]) -> BreakSequence:
     )
 
 
-def _dominating_apf_tail(seqs, merged, flags):
+def _dominating_apf_tail(seqs, merged):
     """(input index, tail start) for an APF input strictly above all others
-    from some position to the end, or None."""
-    best = None
-    for idx, s in enumerate(seqs):
-        if s.verdict != VERDICT_APF or s.certificate is None:
-            continue
-        k0 = None
-        for k in range(len(merged) - 1, -1, -1):
-            others = [t.upper[k] for j, t in enumerate(seqs) if j != idx]
-            if s.upper[k] == merged[k] and all(v < s.upper[k] for v in others):
-                k0 = k
-            else:
-                break
-        if k0 is None:
-            continue
-        if best is None or k0 < best[1]:
-            best = (idx, k0)
-    return best
+    from some position to the end, or None.  Only an input alone at the top
+    of the last position can be, so the tail is walked back for it alone."""
+    tops = [idx for idx, s in enumerate(seqs) if merged and s.upper[-1] == merged[-1]]
+    if len(tops) != 1 or verdict(seqs[tops[0]]) != VERDICT_APF:
+        return None
+    idx, k = tops[0], len(merged) - 1
+    others = [s.upper for j, s in enumerate(seqs) if j != idx]
+    while k and all(u[k - 1] < merged[k - 1] for u in others):
+        k -= 1
+    return idx, k
 
 
 def repair_merge(base: BreakSequence, family_bounds: Sequence) -> BreakSequence:

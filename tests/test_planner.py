@@ -29,6 +29,7 @@ from ramify import (
 )
 from ramify.cli import _seq_csv, main
 from ramify.herbrand import invert, psi_step
+from ramify.planner import _dominating_apf_tail
 
 # -- admissibility and feasibility -------------------------------------------
 
@@ -429,6 +430,53 @@ def test_merge_idempotent(row):
     assert all(merged.flags)  # identical inputs collide everywhere
     again = compositum_merge([merged, merged])
     assert again.upper == merged.upper
+
+
+def _dominating_apf_tail_pairwise(seqs, merged):
+    """The former merge walk: every certified APF input walked back against
+    all the others, the earliest tail start kept."""
+    best = None
+    for idx, s in enumerate(seqs):
+        if s.verdict != "APF" or s.certificate is None:
+            continue
+        k0 = None
+        for k in range(len(merged) - 1, -1, -1):
+            others = [t.upper[k] for j, t in enumerate(seqs) if j != idx]
+            if s.upper[k] == merged[k] and all(v < s.upper[k] for v in others):
+                k0 = k
+            else:
+                break
+        if k0 is None:
+            continue
+        if best is None or k0 < best[1]:
+            best = (idx, k0)
+    return best
+
+
+def _merge_inputs(rnd):
+    """1-4 inputs of one horizon 0-5 with values 0-3, so ties are common,
+    random verdicts and certificates, and some inputs the same object."""
+    horizon, seqs = rnd.randint(0, 5), []
+    for _ in range(rnd.randint(1, 4)):
+        if seqs and rnd.random() < 0.2:
+            seqs.append(rnd.choice(seqs))
+        else:
+            seqs.append(_seq([rnd.randint(0, 3) for _ in range(horizon)],
+                             rnd.choice(["APF", "APF", "non-APF", "undetermined"]), None,
+                             rnd.choice([None, "certified", "certified"])))
+    return seqs
+
+
+def test_dominating_tail_matches_pairwise_walk():
+    rnd, found = random.Random(22), set()
+    for _ in range(5000):
+        seqs = _merge_inputs(rnd)
+        merged = [max(vals) for vals in zip(*(s.upper for s in seqs))]
+        want = _dominating_apf_tail_pairwise(seqs, merged)
+        assert _dominating_apf_tail(seqs, merged) == want
+        found.add(want and (len(seqs) > 1, want[1]))
+    # a lone input dominates from the start; with others, tails of every start were found
+    assert found >= {None, (False, 0), *((True, k) for k in range(5))}
 
 
 # -- integer break arithmetic against the PLFunc-based forms ---------------------
