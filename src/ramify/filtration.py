@@ -94,11 +94,11 @@ class RamFiltration:
     ``ig`` maps non-identity elements to their value; ``default`` fills any
     element not listed.  Values must be positive integers; a quotient's
     filtration (``quotient_filtration``) may carry rational values, which
-    are kept exact.  ``levels`` holds (v, |S|, span(S)) for each distinct
+    are kept exact.  ``levels`` holds (v, |S|, <S>^G) for each distinct
     value v, increasing, S the identity and the elements of value >= v.
-    The constructor counts the unlisted elements and spans each level from
-    the one above: one of more than |G|/p members from the pc generators,
-    others from their members; ``validate`` then walks it once.
+    The constructor counts the unlisted elements and spans each level's
+    normal closure from the one above: one of more than |G|/p members from
+    the pc generators, others from their members.
     """
 
     def __init__(self, group, ig: Mapping[Element, object], default=None, check: bool = True):
@@ -126,14 +126,14 @@ class RamFiltration:
             if must:
                 x = xs[0] if xs else next(self._unlisted())
                 raise InputError(f"value for {x} must be {must}, got {v}")
-        self.levels, size, sub = [], 1, None
+        self.levels, size, sub, pcg = [], 1, None, group.pc_generators()
         for v in sorted(buckets, reverse=True):
             size += len(buckets[v]) + (unlisted if v == self._fill else 0)
             if size * group.p > group.order:  # no proper subgroup holds S: it spans G
-                gens = group.pc_generators()
+                gens = pcg
             else:
                 gens = buckets[v] + (list(self._unlisted()) if v == self._fill else [])
-            sub = span(group, gens, base=sub)
+            sub = span(group, gens, pcg, base=sub)
             self.levels.insert(0, (v, size, sub))
         if check:
             report = self.validate()
@@ -184,23 +184,17 @@ class RamFiltration:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Each level set is closed iff its span has its member count, and
-        then normal iff the span is.  One walk from the smallest level up
-        decides each: after a level that passed (so is normal), only the rows
-        beyond it must conjugate in, else all rows.  The largest failing level
-        is reported, its members listed and scanned for the witness."""
-        failed, below = None, None
-        for v, size, sub in reversed(self.levels):
-            if sub.order == size and sub.is_normal(below):
-                below = sub
-            else:
-                failed, below = (v, size, sub), None
+        """A level set is a normal subgroup iff its normal closure has its
+        member count.  The largest failing level is reported, its members
+        listed and scanned for the witness: it is not closed if it has more
+        than |G|/p members (it is not G) or its plain span has another order."""
+        failed = next(((v, size) for v, size, sub in self.levels if sub.order != size), None)
         if failed is None:
             return ValidationReport(True)
-        v, size, sub = failed
+        v, size = failed
         g = self.group
         members = frozenset({x for x, val in self.ig.items() if val >= v} | {g.identity()})
-        if sub.order != size:
+        if size * g.p > g.order or span(g, members).order != size:
             x, y = next((x, y) for x in members for y in members
                         if g.product(x, y) not in members)
             return ValidationReport(False, v - 1, (x, y), "not closed under product")

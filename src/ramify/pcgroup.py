@@ -25,7 +25,7 @@ order, membership and equality cost polynomially many products, and the
 element set is enumerated only when asked for; the group's ``cap`` bounds
 every span.  Frattini subgroups need p-th powers of generators only, as
 H/[H, H] is abelian; the lower p-series is spanned from the lower central
-series (``lower_p_series``).
+series by p-th powers alone (``lower_p_series``).
 """
 
 from __future__ import annotations
@@ -506,12 +506,11 @@ class Subgroup:
         skip = base.depths if base else ()
         return [x for d, x in zip(self.depths, self.rows) if d not in skip]
 
-    def is_normal(self, base: "Subgroup | None" = None) -> bool:
-        """Whether the conjugates of the rows (given H spanned from a normal
-        ``base``, of ``rows_beyond(base)``) by the pc generators lie in H."""
-        g, rows = self.group, self.rows_beyond(base)
+    def is_normal(self) -> bool:
+        """Whether the conjugates of the rows by the pc generators lie in H."""
+        g = self.group
         return all(g.product(g.product(g.inverse(a), x), a) in self
-                   for a in g.pc_generators() for x in rows)
+                   for a in g.pc_generators() for x in self.rows)
 
 
 def span(
@@ -519,14 +518,15 @@ def span(
 ) -> Subgroup:
     """The subgroup generated by ``gens`` and ``base``, normalized by ``conj``.
 
-    Each queued element is sifted through the rows found so far; a remainder
-    other than the identity becomes a new row, scaled to leading exponent
-    1.  Its p-th power, its commutators with the earlier rows and its
-    conjugates by ``conj`` join the queue.  Once the queue is empty all of
-    those sift to the identity, so the rows' normal words are closed under
-    products (an induced pcgs) and normalized by <conj>.  The rows start as
-    those of ``base`` (closed, and normalized by ``conj``), so only ``gens``
-    and new rows' words are sifted.  A subgroup of order above ``group.cap``
+    Precondition: ``gens`` and ``base`` lie in <conj> when ``conj`` is given,
+    and ``base`` is closed and normalized by ``conj``.  Each queued element
+    is sifted through the rows found so far; a remainder other than the
+    identity becomes a new row, scaled to leading exponent 1.  Its p-th
+    power and its conjugates join the queue: by ``conj``, or without it by
+    the rows found so far.  Once the queue is empty the rows' normal words
+    are a subgroup (an induced pcgs) normalized by <conj> (README, "One
+    seed rule").  The rows start as those of ``base``, so only ``gens`` and
+    new rows' words are sifted.  A subgroup of order above ``group.cap``
     raises.
     """
     p, identity = group.p, group.identity()
@@ -544,8 +544,8 @@ def span(
         row = _powers(group, x, pow(x[d], -1, p) + 1)[-1]
         powers = _powers(group, row, p + 1)
         queue.append(powers.pop())
-        queue.extend(prod(prod(prod(inv(row), inv(r)), row), r) for r in sub.rows)
-        queue.extend(prod(prod(a_inv, row), a) for a, a_inv in conj)
+        queue.extend(prod(prod(a_inv, row), a)
+                     for a, a_inv in conj or [(r, inv(r)) for r in sub.rows])
         sub._powers[d] = powers
         while sub._tail and sub._powers[sub._tail - 1]:
             sub._tail -= 1
@@ -685,18 +685,15 @@ class PcGroup:
     def lower_p_series(self) -> list[Subgroup]:
         """P_0 = G, P_(m+1) = P_m^p [P_m, G], down to 1.
 
-        P_m contains gamma_(m+1), so P_(m+1) contains [gamma_(m+1), G] = gamma_(m+2);
-        and P_m/[P_m, G] is abelian.  So P_(m+1) is spanned from gamma_(m+2) by the
-        p-th powers of P_m's rows and the commutators with the pc generators of only
-        the rows P_m has beyond gamma_(m+1).
+        P_(m+1) is the normal closure of gamma_(m+2) and the p-th powers of
+        P_m's rows: no commutator is needed (README, "Lower p-series from
+        p-th powers").
         """
         gamma, pcg = self.lower_central_series(), self.pc_generators()
         series = [gamma[0]]
         while series[-1].order > 1:
-            above, below = (gamma[min(k, len(gamma) - 1)] for k in (len(series) - 1, len(series)))
             seed = [self.power_p(x) for x in series[-1].rows]
-            seed += [self.commutator(x, a) for x in series[-1].rows_beyond(above) for a in pcg]
-            series.append(span(self, seed, pcg, base=below))
+            series.append(span(self, seed, pcg, base=gamma[min(len(series), len(gamma) - 1)]))
             if series[-1].order >= series[-2].order:
                 raise InconsistentPresentationError("lower p-series does not descend")
         return series

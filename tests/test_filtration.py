@@ -24,7 +24,7 @@ from ramify import (
     quotient_filtration,
 )
 from ramify.cli import main
-from ramify.pcgroup import span
+from ramify.pcgroup import Subgroup, span
 from ramify.ratio import parse_rat
 
 
@@ -285,14 +285,15 @@ def test_validate_matches_all_pairs_oracle(rf):
 
 def _validate_full_loop(rf):
     """The former failure path of validate(): every level's closure and
-    normality checked in full, from the largest level down, then the
-    witness scan."""
+    normality checked in full on the plain span of its members, from the
+    largest level down, then the witness scan."""
     g = rf.group
-    for v, size, sub in rf.levels:
-        if sub.order == size and sub.is_normal():
-            continue
+    for v in sorted(set(rf.ig.values())):
         members = frozenset({x for x, val in rf.ig.items() if val >= v} | {g.identity()})
-        if sub.order != size:
+        sub = span(g, sorted(members))
+        if sub.order == len(members) and sub.is_normal():
+            continue
+        if sub.order != len(members):
             x, y = next((x, y) for x in members for y in members
                         if g.product(x, y) not in members)
             return ValidationReport(False, v - 1, (x, y), "not closed under product")
@@ -314,7 +315,7 @@ _CHAIN_GROUPS = [
 
 
 @st.composite
-def _chain_assignments(draw):
+def _chain_values(draw):
     """Values from a chain of subgroups of a group or a quotient, each level
     normally closed or not, some values then moved: valid filtrations and
     levels that fail closure or normality, tails and not."""
@@ -328,7 +329,11 @@ def _chain_assignments(draw):
     for x, v in draw(st.lists(st.tuples(element, st.integers(1, 5)), max_size=2)):
         if x != g.identity():
             ig[x] = v
-    return RamFiltration(g, ig, check=False)
+    return g, ig
+
+
+def _chain_assignments():
+    return _chain_values().map(lambda case: RamFiltration(*case, check=False))
 
 
 def _non_normal_below_normal():
@@ -347,10 +352,31 @@ def test_validate_matches_full_loop(rf):
     assert rf.validate() == _validate_full_loop(rf)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_chain_values())
+def test_load_and_validate_call_no_is_normal(case):
+    """The levels are normal closures, so loading and validating compare
+    orders: with ``is_normal`` raising, valid chains load, failing ones are
+    refused with the report, and ``validate`` matches the all-pairs loop."""
+    g, ig = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subgroup, "is_normal", lambda self: pytest.fail("is_normal was called"))
+        rf = RamFiltration(g, ig, check=False)
+        report = rf.validate()
+        try:
+            RamFiltration(g, ig)
+            refusal = None
+        except InputError as exc:
+            refusal = str(exc)
+    assert report == _validate_all_pairs(rf)
+    assert refusal == (None if report.ok else f"level set at {report.level} is not a normal "
+                       f"subgroup; witness {report.witness} ({report.reason})")
+
+
 def _load_per_element(group, ig, default=None):
     """The former constructor: each value parsed, filled and checked per
     element, then grouped into levels by hashing each value.  Returns the
-    values and the chain as (v, |S|, span(S))."""
+    values and the chain as (v, |S|, <S>^G)."""
     identity = group.identity()
     members = set(group.elements())
     values = {}
@@ -379,7 +405,7 @@ def _load_per_element(group, ig, default=None):
     chain, size, sub = [], 1, None
     for v in sorted(exact, reverse=True):
         size += len(exact[v])
-        sub = span(group, exact[v], base=sub)
+        sub = span(group, exact[v], group.pc_generators(), base=sub)
         chain.append((v, size, sub))
     return list(values.items()), chain[::-1]
 
