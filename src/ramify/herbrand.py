@@ -94,18 +94,21 @@ class PLFunc(Record):
             raise InputError(f"bad piecewise-linear function: {exc}") from exc
         if len(slopes) != len(bps) + 1:
             raise InputError("need exactly one slope per segment")
-        if any(s <= 0 for s in slopes):
+        # the checks cross-multiply reduced pairs (denominators positive): no Fraction arithmetic
+        slope_pairs = [s.as_integer_ratio() for s in slopes]
+        if any(sn <= 0 for sn, _ in slope_pairs):
             raise InputError("slopes must be positive")
-        prev_x, prev_y = Fraction(0), Fraction(0)
-        for k, (x, y) in enumerate(bps):
-            if x <= prev_x:
+        px, pxd, py, pyd = 0, 1, 0, 1  # the previous breakpoint, or the origin
+        for (x, y), (sn, sd) in zip(bps, slope_pairs):
+            (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+            dx = xn * pxd - px * xd  # (x - x') * xd * x'd
+            if dx <= 0:
                 raise InputError("breakpoint abscissas must be positive and strictly increasing")
-            if y != prev_y + slopes[k] * (x - prev_x):
+            if (yn * pyd - py * yd) * sd * xd * pxd != sn * dx * yd * pyd:  # y - y' = s(x - x')
                 raise InputError("breakpoint ordinates inconsistent with slopes")
-            prev_x, prev_y = x, y
-        for a, b in zip(slopes, slopes[1:]):
-            if a == b:
-                raise InputError("collinear segments must be merged (not normalized)")
+            px, pxd, py, pyd = xn, xd, yn, yd
+        if any(a == b for a, b in zip(slope_pairs, slope_pairs[1:])):
+            raise InputError("collinear segments must be merged (not normalized)")
         return cls(bps, slopes)
 
 
@@ -188,25 +191,28 @@ def tower_upper_breaks(relative_breaks: Iterable[int], p) -> tuple[Fraction, ...
 
     u_1 = t_1 and u_n = u_(n-1) + (t_n - t_(n-1))/p^(n-1), the inverse of
     the tower so far evaluated at t_n (Serre, *Local Fields*, ch. IV §3).
-    The recurrence runs on one integer numerator over p^(n-1); no transition
+    Checks p and the breaks, then runs `upper_breaks_of`.  No transition
     function is built unless a break fails to increase, whose error quotes
     the upper break the inverse gives it.
     """
     p = require_prime(p)
-    breaks: list[int] = []
-    uppers: list[Fraction] = []
-    num, scale = 0, 1
-    for t in relative_breaks:
+    breaks = list(relative_breaks)
+    for n, t in enumerate(breaks):
         require_posint("relative break", t)
-        if breaks:
-            if t <= breaks[-1]:
-                raise InputError(
-                    f"non-increasing filtration: upper break "
-                    f"{invert(tower_psi(breaks, p)).eval(t)} does not exceed {uppers[-1]}"
-                )
-            num, scale = num * p + (t - breaks[-1]), scale * p
-        else:
-            num = t
-        breaks.append(t)
+        if n and t <= breaks[n - 1]:
+            upper = invert(tower_psi(breaks[:n], p)).eval(t)
+            raise InputError(f"non-increasing filtration: upper break {upper} "
+                             f"does not exceed {upper_breaks_of(breaks[:n], p)[-1]}")
+    return upper_breaks_of(breaks, p)
+
+
+def upper_breaks_of(breaks: Iterable[int], p: int) -> tuple[Fraction, ...]:
+    """`tower_upper_breaks` on a prime p and strictly increasing positive
+    breaks, unchecked: the recurrence runs on one integer numerator over
+    p^(n-1)."""
+    uppers, num, scale, last = [], 0, 1, 0
+    for t in breaks:
+        num, last = num * p + t - last, t
         uppers.append(Fraction(num, scale))
+        scale *= p
     return tuple(uppers)

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from .errors import InfeasiblePlanError, InputError
 # psi_step and tower_psi stay bound in this module, unused, because the benchmark's
 # span recorder (bench/spans.py) wraps planner.psi_step and planner.tower_psi
-from .herbrand import psi_step, tower_psi, tower_upper_breaks  # noqa: F401
+from .herbrand import psi_step, tower_psi, upper_breaks_of  # noqa: F401
 from .ratio import format_rat, is_int, parse_rat, require_posint, require_prime
 from .record import Record
 
@@ -316,8 +316,10 @@ class BreakSequence(Record):
         if bound is not None:
             if verdict_val == VERDICT_APF:
                 raise InputError("an APF sequence cannot carry a limit_bound")
+            bn, bd = bound.as_integer_ratio()
             for k, u in enumerate(upper):
-                if u > bound:
+                un, ud = u.as_integer_ratio()
+                if un * bd > bn * ud:  # u > bound, cross-multiplied
                     raise InputError(
                         f"limit_bound {format_rat(bound)} is below upper[{k}] = {format_rat(u)}"
                     )
@@ -490,7 +492,7 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
     increment u_(k+1) - u_k is d_k/p^k, so the increments are all equal iff
     d_(k+1) = p*d_k throughout, and the ratio of two consecutive ones is
     d_(k+1)/(p*d_k), compared by cross-multiplying.  Upper breaks come
-    from `tower_upper_breaks`, lower breaks are the schedule's ints, and the
+    from `upper_breaks_of`, lower breaks are the schedule's ints, and the
     only other Fractions are the printed ratio, increment and bound.
     """
     if plan.kind not in ("nonapf", "custom"):
@@ -511,7 +513,7 @@ def nonapf_plan(plan: TowerPlan) -> BreakSequence:
             )
             flags[n - 1] = True
         e_n *= p
-    upper = tower_upper_breaks(schedule, p)
+    upper = upper_breaks_of(schedule, p)  # the plan has checked p and the schedule
     steps = [b - a for a, b in itertools.pairwise(schedule)]
     verdict_val, bound, cert = VERDICT_UNDETERMINED, None, None
     # increments all equal iff t_(n+2) - p*t_(n+1) = t_(n+1) - p*t_n throughout,

@@ -41,23 +41,29 @@ def parse_rat(text) -> Fraction:
     """Parse "num" or "num/den" (also accepts ints for convenience).
 
     Decimal and scientific notation are rejected: the wire format is the
-    fraction string and nothing else.
+    fraction string and nothing else.  Plain ASCII digits, with at most one
+    slash, skip the regex; the regex reads the rest (signs, spaces, Unicode
+    digits), and both reject alike.
     """
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if not (type(text) is str and text.isascii() and num.isdigit()
+                and (den.isdigit() or not slash)):  # plain ASCII digits skip the regex
+            match = _RAT_RE.fullmatch(text.strip())
+            if not match:  # also a signed denominator, which Fraction(str) rejects
+                raise InputError(f"not a rational: {text!r}")
+            num, den = match[1], match[2]
+        try:  # int() past its digit limit, or a zero denominator
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not a rational: {text!r}") from exc
     if isinstance(text, bool):
         raise InputError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
-    if not isinstance(text, str):
-        raise InputError(f"not a rational: {text!r}")
-    match = _RAT_RE.fullmatch(text.strip())
-    if not match:  # also a signed denominator, which Fraction(str) rejects
-        raise InputError(f"not a rational: {text!r}")
-    try:  # int() past its digit limit, or a zero denominator
-        return Fraction(int(match[1]), int(match[2] or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational: {text!r}") from exc
+    raise InputError(f"not a rational: {text!r}")
 
 
 def is_int(value) -> bool:

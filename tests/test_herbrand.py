@@ -1,6 +1,7 @@
 """Unit and property tests for the piecewise-linear transition calculus."""
 
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,9 @@ from ramify import (
     tower_psi,
     tower_upper_breaks,
 )
-from ramify.ratio import require_prime
+from ramify.cli import main
+from ramify.herbrand import upper_breaks_of
+from ramify.ratio import format_rat, parse_rat, require_prime
 
 # -- construction and invariants -------------------------------------------
 
@@ -237,6 +240,8 @@ def test_tower_upper_breaks_match_tower_psi_and_step_fold(schedule, p):
     expected = _outcome(lambda: tower_psi(schedule, p).break_xs())
     assert _outcome(tower_upper_breaks, schedule, p) == expected
     assert expected == _outcome(lambda: _fold_tower_psi(schedule, p).break_xs())
+    if all(type(u) is F for u in expected):  # a checked schedule: the unchecked core agrees
+        assert upper_breaks_of(schedule, p) == expected
 
 
 # -- compose and eval against the pointwise forms --------------------------------
@@ -339,6 +344,78 @@ def test_builders_pass_the_json_checks(outer, inner, schedule, step):
         _assert_valid(f)
     if isinstance(psi := _outcome(tower_psi, schedule, step[1]), PLFunc):
         _assert_valid(psi)
+
+
+# -- the integer reader against the Fraction-arithmetic reader ------------------
+
+
+def _fraction_from_json_dict(data):
+    """Reference: the checks of a function read from JSON in Fraction arithmetic."""
+    if not isinstance(data, dict):
+        raise InputError("piecewise-linear function must be a JSON object")
+    bps = tuple((parse_rat(x), parse_rat(y)) for x, y in data.get("breakpoints", []))
+    slopes = tuple(parse_rat(s) for s in data["slopes"])
+    if len(slopes) != len(bps) + 1:
+        raise InputError("need exactly one slope per segment")
+    if any(s <= 0 for s in slopes):
+        raise InputError("slopes must be positive")
+    prev_x, prev_y = F(0), F(0)
+    for k, (x, y) in enumerate(bps):
+        if x <= prev_x:
+            raise InputError("breakpoint abscissas must be positive and strictly increasing")
+        if y != prev_y + slopes[k] * (x - prev_x):
+            raise InputError("breakpoint ordinates inconsistent with slopes")
+        prev_x, prev_y = x, y
+    for a, b in zip(slopes, slopes[1:]):
+        if a == b:
+            raise InputError("collinear segments must be merged (not normalized)")
+    return PLFunc(bps, slopes)
+
+
+@st.composite
+def mutated_funcs(draw):
+    """A function's JSON with one coordinate or slope replaced: by another
+    value of the same function (a neighbour's makes equal slopes or
+    abscissas), or by a small rational of either sign."""
+    data = draw(plfuncs()).to_json_dict()
+    values = [c for bp in data["breakpoints"] for c in bp] + data["slopes"]
+    small = st.fractions(min_value=-4, max_value=40, max_denominator=12).map(format_rat)
+    new = draw(st.one_of(st.sampled_from(values), small))
+    k = draw(st.integers(0, len(values) - 1))
+    if k < 2 * len(data["breakpoints"]):
+        data["breakpoints"][k // 2][k % 2] = new
+    else:
+        data["slopes"][k - 2 * len(data["breakpoints"])] = new
+    return data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_funcs())
+def test_integer_reader_matches_fraction_reader(data):
+    assert _outcome(PLFunc.from_json_dict, data) == _outcome(_fraction_from_json_dict, data)
+
+
+def test_herbrand_eval_builds_a_fraction_per_number_read(tmp_path, capsys, monkeypatch):
+    # one Fraction per number read (2N coordinates and N + 1 slopes), three for
+    # the evaluation and one for --at
+    n = 200
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(tower_psi(range(1, 2 * n, 2), 2).to_json_dict()))
+    argv = ["herbrand", "eval", "--file", str(path), "--at", "3"]
+    assert main(argv) == 0  # loads the layers before counting
+    capsys.readouterr()
+    built, new = [], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    # psi runs with slope 2^n past u_n = 3 - 2^(2-n), so psi(3) = t_n + 4
+    assert capsys.readouterr().out == f'{{"value": "{2 * n - 1 + 4}"}}\n'
+    assert len(built) <= 3 * n + 5
 
 
 # the quaternion group: a_1^2 = a_2^2 = a_3 = [a_2, a_1]

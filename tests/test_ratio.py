@@ -1,14 +1,16 @@
 """Unit tests for the rational serialization helpers and input checks."""
 
+import re
 import sys
 import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramify import CapExceededError, InputError, format_rat, is_prime, parse_rat
+from ramify import ratio
 from ramify.ratio import reject_unknown, require_posint, require_prime
 
 
@@ -37,14 +39,16 @@ def test_parse_fixtures():
     assert parse_rat(" -3/2 ") == F(-3, 2)
     assert parse_rat("+2/4") == F(1, 2)
     assert parse_rat("-0/7") == F(0)
+    assert parse_rat("07/010") == F(7, 10)
+    assert parse_rat("\u0661\u0662") == F(12)  # Unicode decimal digits, as int() reads them
     assert parse_rat(7) == F(7)
     assert parse_rat(F(1, 3)) == F(1, 3)
 
 
 def test_parse_rejects_garbage():
-    # signed denominators and zero ones, as Fraction(str) rejected them
+    # signed, zero and empty denominators, as Fraction(str) rejected them, and non-decimal digits
     for bad in ("x", "1/0", "1.5.2", None, True, [1], "3 / 4 / 5",
-                "1/-2", "+1/+2", "-1/+2", " -3/0 ", "0/00"):
+                "1/-2", "+1/+2", "-1/+2", " -3/0 ", "0/00", "0/0", "1/", "\u00b2"):
         with pytest.raises(InputError) as exc:
             parse_rat(bad)
         assert str(exc.value) == f"not a rational: {bad!r}"
@@ -131,3 +135,79 @@ def test_reject_unknown():
 @given(st.fractions())
 def test_round_trip(x):
     assert parse_rat(format_rat(x)) == x
+
+
+# -- the plain ASCII path against the regex parse --------------------------------
+
+
+def _regex_parse_rat(text):
+    """Reference: every string through the regex, as before the plain ASCII path."""
+    if isinstance(text, bool):
+        raise InputError(f"not a rational: {text!r}")
+    if isinstance(text, int):
+        return F(text)
+    if isinstance(text, F):
+        return text
+    if not isinstance(text, str):
+        raise InputError(f"not a rational: {text!r}")
+    match = re.fullmatch(r"([+-]?\d+)(?:/(\d+))?", text.strip())
+    if not match:
+        raise InputError(f"not a rational: {text!r}")
+    try:
+        return F(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational: {text!r}") from exc
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+    return (type(value), value)
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_FIXTURES = [" 3", "+3", "07/010", "0/0", "3/-4", "\u0661\u0662", "\u00b2", "1/", "/2", "", "3/4 ",
+             "1" * (_LIMIT + 1), "1/" + "1" * (_LIMIT + 1), "1" * _LIMIT + "/7", "0" * (_LIMIT + 1)]
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize("text", [*_FIXTURES, _Str("3/4"), 3, True, F(2, 3), 1.5, None])
+def test_plain_path_matches_the_regex_parse(text):
+    assert _outcome(parse_rat, text) == _outcome(_regex_parse_rat, text)
+
+
+class _RegexSpy:
+    """Stands in for the wire-format regex: records each text, matches none."""
+
+    def __init__(self):
+        self.seen = []
+
+    def fullmatch(self, text):
+        self.seen.append(text)
+
+
+def test_plain_ascii_skips_the_regex(monkeypatch):
+    spy = _RegexSpy()
+    monkeypatch.setattr(ratio, "_RAT_RE", spy)
+    assert parse_rat("07/010") == F(7, 10)
+    assert parse_rat("12") == F(12)
+    with pytest.raises(InputError, match="not a rational: '0/0'"):
+        parse_rat("0/0")
+    assert spy.seen == []
+    for text in (" 3", "+3", "\u0661\u0662"):  # not plain ASCII digits: read by the regex
+        with pytest.raises(InputError):
+            parse_rat(text)
+    assert spy.seen == ["3", "+3", "\u0661\u0662"]
+
+
+@example("\u0661\u0662/3")
+@example("0/" + "0" * 5)
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet="0123456789/+- \u0661\u00b2\n", max_size=12))
+def test_plain_path_matches_the_regex_parse_on_drawn_text(text):
+    assert _outcome(parse_rat, text) == _outcome(_regex_parse_rat, text)
