@@ -42,6 +42,7 @@ class CosetGroup:
         self.ambient = group
         self.kernel = kernel
         self.p, self.cap = group.p, group.cap
+        self.commuting_supports = group.commuting_supports  # as representatives in G
         self._require_cap = group._require_cap  # the ambient cap bounds a listing
 
     @property

@@ -23,9 +23,10 @@ subgroup) is grown from generators by ``span`` as an induced polycyclic
 generating sequence (Holt, Eick and O'Brien, ch. 8): at most n rows, so
 order, membership and equality cost polynomially many products, and the
 element set is enumerated only when asked for; the group's ``cap`` bounds
-every span.  Frattini subgroups need p-th powers of generators only, as
-H/[H, H] is abelian; the lower p-series is spanned from the lower central
-series by p-th powers alone (``lower_p_series``).
+every span, and a derived word is collected only if H may lack it.  Frattini
+subgroups need p-th powers of generators only, as H/[H, H] is abelian; the
+lower p-series is spanned from the lower central series by p-th powers alone
+(``lower_p_series``).
 """
 
 from __future__ import annotations
@@ -218,6 +219,7 @@ class _Collector:
         # the row of plain a_h, until a stored [a_h, a_g] needs its own copy
         unit = [((h, 1),) for h in range(pres.n)]
         self._conj = [unit] * pres.n
+        self._links = [0] * pres.n  # bit h of _links[g]: a stored [a_h, a_g] or [a_g, a_h]
         for (h, g), rhs in pres.relations:
             word = tuple((k - 1, e) for k, e in reversed(rhs))  # stacked, top last
             if not g:
@@ -226,6 +228,8 @@ class _Collector:
             if self._conj[g - 1] is unit:
                 self._conj[g - 1] = list(unit)
             self._conj[g - 1][h - 1] = word + ((h - 1, 1),)
+            self._links[g - 1] |= 1 << (h - 1)
+            self._links[h - 1] |= 1 << (g - 1)
 
     def _collect(self, v: list[int], stack: list[tuple[int, int]]) -> Element:
         """The normal form of v times the stacked letters; v is consumed."""
@@ -261,6 +265,11 @@ class _Collector:
             if pushed > limit:
                 raise CapExceededError("collection step limit exceeded")
         return tuple(v)
+
+    def commuting_supports(self, x: Element, y: Element) -> bool:
+        """Whether no stored commutator relation links x's support to y's: then x, y commute."""
+        reach = functools.reduce(int.__or__, itertools.compress(self._links, y), 0)
+        return not any(reach >> g & 1 for g in itertools.compress(range(len(x)), x))
 
     def product(self, x: Element, y: Element) -> Element:
         key = (x, y)
@@ -413,7 +422,7 @@ def consistency_check(
 
 def _depth(x: Element) -> int:
     """Index of the first nonzero exponent of x; len(x) for the identity."""
-    return next((d for d, e in enumerate(x) if e), len(x))
+    return x.index(next(filter(None, x))) if any(x) else len(x)  # that value's first place
 
 
 def _powers(group, x: Element, count: int) -> list[Element]:
@@ -493,11 +502,12 @@ class Subgroup:
     @property
     def elements(self) -> frozenset:
         if self._elements is None:
-            words = [self.group.identity()]
-            for pw in reversed(self._powers):
+            t, words = self._tail, [self.group.identity()]
+            for pw in reversed(self._powers[:t]):
                 if pw:
                     words += [self.group.product(r, w) for r in pw[1:] for w in words]
-            self._elements = frozenset(words)
+            tails = list(itertools.product(range(self.group.p), repeat=len(self._powers) - t))
+            self._elements = frozenset(w[:t] + s for w in words for s in tails)
         return self._elements
 
     def rows_beyond(self, base: "Subgroup | None") -> list:
@@ -514,27 +524,35 @@ class Subgroup:
 
 
 def span(
-    group, gens: Iterable[Element], conj: Iterable[Element] = (), base: Subgroup | None = None
+    group, gens: Iterable[Element], conj: Iterable[Element] = (), base: Subgroup | None = None,
+    words: Iterable[tuple[Element, Element | None]] = (),
 ) -> Subgroup:
-    """The subgroup generated by ``gens`` and ``base``, normalized by ``conj``.
+    """The subgroup generated by ``gens``, ``words`` and ``base``, normalized by ``conj``.
 
-    Precondition: ``gens`` and ``base`` lie in <conj> when ``conj`` is given,
-    and ``base`` is closed and normalized by ``conj``.  Each queued element
-    is sifted through the rows found so far; a remainder other than the
-    identity becomes a new row, scaled to leading exponent 1.  Its p-th
-    power and its conjugates join the queue: by ``conj``, or without it by
-    the rows found so far.  Once the queue is empty the rows' normal words
-    are a subgroup (an induced pcgs) normalized by <conj> (README, "One
-    seed rule").  The rows start as those of ``base``, so only ``gens`` and
-    new rows' words are sifted.  A subgroup of order above ``group.cap``
-    raises.
+    Precondition: all three lie in <conj> when ``conj`` is given, and ``base``
+    is closed and normalized by ``conj``.  Queued elements are sifted through
+    the rows, from those of ``base`` on, and a remainder other than the
+    identity becomes a row, scaled to leading exponent 1.  Its p-th power and
+    conjugates (by ``conj``, else by the rows so far) are queued as pending
+    words, like ``words``: (x, a) for [x, a], or x^p if a is None, collected
+    when popped and only if H may lack them (README, "Words that cannot add a
+    row").  The rows' normal words are then a subgroup normalized by <conj>
+    (README, "One seed rule").  A subgroup of order above ``group.cap`` raises.
     """
     p, identity = group.p, group.identity()
     prod, inv = group.product, group.inverse
-    conj = [(a, inv(a)) for a in conj]
+    conj = [(a, _depth(a)) for a in conj]
     sub = Subgroup(group, list(base._powers) if base else [None] * len(identity))
-    queue = list(gens)
-    for x in queue:  # in the given order; new words are appended while walking
+    queue = [(x, None, None, 0) for x in gens]  # pending (x, a, seed, k) is in H once G_k is
+    queue += [(x, a, True, max(_depth(x), _depth(a or x)) + 1) for x, a in words]
+    for x, a, seed, k in queue:  # in the given order; new words are appended while walking
+        if seed is not None:
+            if sub._tail <= k or a and group.commuting_supports(x, a):
+                continue
+            if a is None:
+                x = _powers(group, x, p + 1)[-1]
+            else:  # [x, a] for a seed, x^a for a row's conjugate
+                x = prod(prod(prod(inv(x), inv(a)), x), a) if seed else prod(prod(inv(a), x), a)
         x = sub.sift(x)
         if x == identity:
             continue
@@ -542,11 +560,9 @@ def span(
             raise CapExceededError("subgroup closure exceeds enumeration cap")
         d = _depth(x)
         row = _powers(group, x, pow(x[d], -1, p) + 1)[-1]
-        powers = _powers(group, row, p + 1)
-        queue.append(powers.pop())
-        queue.extend(prod(prod(a_inv, row), a)
-                     for a, a_inv in conj or [(r, inv(r)) for r in sub.rows])
-        sub._powers[d] = powers
+        by = conj or zip(sub.rows, sub.depths)
+        queue += [(row, a, False, max(d, e) + 1) for a, e in [(None, d), *by]]
+        sub._powers[d] = _powers(group, row, p)
         while sub._tail and sub._powers[sub._tail - 1]:
             sub._tail -= 1
     return sub
@@ -576,7 +592,9 @@ class PcGroup:
         self.cap = cap
         self._coll = _Collector(pres)
         self.product, self.inverse = self._coll.product, self._coll.inverse
+        self.commuting_supports = self._coll.commuting_supports
         self._gamma: list[Subgroup] | None = None
+        self._pcg: tuple[Element, ...] | None = None
         if not _checked:
             result = consistency_check(pres, cap=cap, coll=self._coll)
             if not result.ok:
@@ -598,8 +616,9 @@ class PcGroup:
     def identity(self) -> Element:
         return self.pres.identity()
 
-    def pc_generators(self) -> list[Element]:
-        return [self.pres.generator(j) for j in range(1, self.pres.n + 1)]
+    def pc_generators(self) -> tuple[Element, ...]:
+        self._pcg = self._pcg or tuple(self.pres.generator(j) for j in range(1, self.pres.n + 1))
+        return self._pcg
 
     def generator(self, j: int) -> Element:
         return self.pres.generator(j)
@@ -667,11 +686,9 @@ class PcGroup:
 
     def _descending_series(self) -> list[Subgroup]:
         """G = gamma_1, then gamma_(k+1) = <[x, a]>^G over gamma_k's rows x and pc generators a."""
-        pcg = self.pc_generators()
-        series = [self.full_subgroup()]
+        pcg, series = self.pc_generators(), [self.full_subgroup()]
         while series[-1].order > 1:
-            seed = [self.commutator(x, a) for x in series[-1].rows for a in pcg]
-            series.append(span(self, seed, pcg))
+            series.append(span(self, [], pcg, words=[(x, a) for x in series[-1].rows for a in pcg]))
             if series[-1].order >= series[-2].order:
                 raise InconsistentPresentationError("lower central series does not descend")
         return series
@@ -692,8 +709,8 @@ class PcGroup:
         gamma, pcg = self.lower_central_series(), self.pc_generators()
         series = [gamma[0]]
         while series[-1].order > 1:
-            seed = [self.power_p(x) for x in series[-1].rows]
-            series.append(span(self, seed, pcg, base=gamma[min(len(series), len(gamma) - 1)]))
+            base = gamma[min(len(series), len(gamma) - 1)]
+            series.append(span(self, [], pcg, base, [(x, None) for x in series[-1].rows]))
             if series[-1].order >= series[-2].order:
                 raise InconsistentPresentationError("lower p-series does not descend")
         return series
@@ -717,9 +734,8 @@ class PcGroup:
     def frattini_subgroup(self, h: Subgroup) -> Subgroup:
         """H^p [H, H]: the normal closure in H of x^p and [x, y] over its rows."""
         rows = h.rows
-        seed = [self.power_p(x) for x in rows]
-        seed += [self.commutator(x, y) for i, x in enumerate(rows) for y in rows[:i]]
-        return span(self, seed, rows)
+        words = [(x, None) for x in rows] + [(x, y) for i, x in enumerate(rows) for y in rows[:i]]
+        return span(self, [], rows, words=words)
 
     def min_generators(self, h: Subgroup) -> int:
         """Minimal size of a generating set: rank(H) - rank(H^p [H, H])."""
@@ -746,13 +762,12 @@ class PcGroup:
         idx = list(tower_indices)
         if any(not is_int(j) or not 1 <= j <= self.pres.n for j in idx):
             raise InputError(f"tower indices must lie in [1, {self.pres.n}]")
-        pairs = []
-        ok = True
+        pairs, ok, pcg = [], True, self.pc_generators()
         for pos, j in enumerate(idx[:-1]):
-            closure = self.normal_closure([self.pres.generator(j)])
+            closure = self.normal_closure([pcg[j - 1]])
             for later_pos in range(max(pos + 1, 2), len(idx)):
                 later = idx[later_pos]
-                contained = self.pres.generator(later) in closure
+                contained = pcg[later - 1] in closure
                 ok = ok and contained
                 pairs.append({"generator": j, "later": later, "contained": contained})
         return {"pairs": pairs, "ok": ok}
@@ -769,7 +784,7 @@ class PcGroup:
                 f"depth {self.pres.n} too small for k={k}; need at least {2 * k + 2}"
             )
         indices = list(range(2, 2 * k)) + list(range(2 * k + 1, self.pres.n + 1))
-        sub = self.subgroup([self.pres.generator(j) for j in indices])
+        sub = self.subgroup([self.pc_generators()[j - 1] for j in indices])
         return {
             "indices": indices,
             "order": sub.order,

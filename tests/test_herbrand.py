@@ -418,6 +418,29 @@ def test_herbrand_eval_builds_a_fraction_per_number_read(tmp_path, capsys, monke
     assert len(built) <= 3 * n + 5
 
 
+def test_herbrand_compose_builds_fractions_linear_in_breakpoints(tmp_path, capsys, monkeypatch):
+    # two tower psi's of N breakpoints each: 6N + 2 Fractions read (3N + 1 per
+    # function), 8N - 2 in the walk for the 2N - 1 breakpoints of the result
+    n = 200
+    path = tmp_path / "compose.json"
+    path.write_text(json.dumps({"outer": tower_psi(range(1, 2 * n, 2), 2).to_json_dict(),
+                                "inner": tower_psi(range(2, 2 * n + 1, 2), 2).to_json_dict()}))
+    argv = ["herbrand", "compose", "--file", str(path)]
+    assert main(argv) == 0  # loads the layers before counting
+    capsys.readouterr()
+    built, new = [], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert len(json.loads(capsys.readouterr().out)["breakpoints"]) == 2 * n - 1
+    assert len(built) <= 14 * n
+
+
 # the quaternion group: a_1^2 = a_2^2 = a_3 = [a_2, a_1]
 _FILTRATION_GROUPS = [
     PcGroup(build_heisenberg(3)),

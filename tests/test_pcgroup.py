@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import time
 import tracemalloc
 
@@ -690,6 +691,54 @@ def test_span_matches_element_set_algorithms(case):
     assert g.series_equality_check() == _ref_series_report(g, gamma, pser)
 
 
+@st.composite
+def _class_3_groups_with_gens(draw):
+    """A consistent group of class at least 3 with a power relation, p in {2, 3, 5},
+    0-3 elements and a kernel seed.  Searched from a drawn seed, as few random
+    relations keep a class-3 presentation consistent: a chain [a_j, a_1] =
+    a_(j+1)..., random rhs on every commutator into a_n and on powers anywhere."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        p, n = rng.choice([(2, 4), (2, 4), (3, 4), (3, 4), (5, 4)])
+
+        def rhs(j, lo):
+            gens = range(max(lo, j + 1), n + 1) if rng.random() < 0.5 else ()
+            return {k: rng.randint(1, p - 1) for k in gens if rng.random() < 0.5}
+
+        power = {j: rhs(j, 1) for j in range(1, n + 1)}
+        comm = {(j, i): rhs(j, n) for j in range(2, n + 1) for i in range(1, j)}
+        for j in range(2, n):
+            comm[j, 1][j + 1] = 1
+        pres = PcPresentation.build(p, n, power, comm)
+        if any(power.values()) and consistency_check(pres).ok:
+            g = PcGroup(pres)
+            pcg = g.pc_generators()  # class >= 3: a [[a, b], c] is not 1
+            if any(any(g.commutator(g.commutator(a, b), c)) for a in pcg for b in pcg for c in pcg):
+                break
+    element = st.tuples(*[st.integers(0, p - 1)] * n)
+    return g, draw(st.lists(element, max_size=3)), draw(st.lists(element, max_size=2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_class_3_groups_with_gens())
+def test_skipped_words_match_element_sets(case):
+    """Spans that drop pending words by the tail and support tests, against
+    the element sets: closures, normal closures, Frattini subgroups, both
+    series, and both spans on a quotient."""
+    g, gens, kernel_seed = case
+    for sub, ref in [(g.subgroup(gens), _ref_closure(g, gens)),
+                     (g.normal_closure(gens), _ref_normal_closure(g, gens))]:
+        assert sub.elements == ref
+        # the rows generate H, as it has their p^rank normal words
+        assert g.frattini_subgroup(sub).elements == _ref_frattini(g, ref, sub.rows)
+    assert [s.elements for s in g.lower_central_series()] == _ref_series(g, False)
+    assert [s.elements for s in g.lower_p_series()] == _ref_series(g, True)
+    quot = CosetGroup(g, g.normal_closure(kernel_seed))
+    images = [quot.project(x) for x in gens]
+    assert span(quot, images).elements == _ref_closure(quot, images)
+    assert span(quot, images, quot.pc_generators()).elements == _ref_normal_closure(quot, images)
+
+
 def _class2_order_3_8():
     """Four top generators, [a_j, a_i] cycling over the four central ones."""
     pairs = [(j, i) for j in range(2, 5) for i in range(1, j)]
@@ -703,8 +752,9 @@ def test_series_collect_from_generators_only():
     before = len(g._coll._cache)
     rep = g.series_equality_check()
     assert rep["gamma_orders"] == rep["p_orders"] == [3**8, 3**4, 1]
-    # the element-set series collected 13,835 products here, more than |G|
-    assert len(g._coll._cache) - before < g.order
+    # the element-set series collected 13,835 products here, more than |G|, and
+    # spans collecting every conjugate, commutator and p-th power 212
+    assert len(g._coll._cache) - before == 47
 
 
 # -- induced pcgs: sifting against the element sets ------------------------------
@@ -807,13 +857,14 @@ def test_probes_collect_few_products():
     g = _class2_order_3_8()
     before = len(g._coll._cache)
     assert g.rank_growth_probe(2)["order"] == 3**6
-    # the element-set span collected 3,624 products here
-    assert len(g._coll._cache) - before < 400
+    # the element-set span collected 3,624 products here, and spans collecting
+    # every conjugate, commutator and p-th power 88
+    assert len(g._coll._cache) - before == 21
     g = _class2_order_3_8()
     before = len(g._coll._cache)
     g.just_infinite_probe(range(1, 9))
-    # and 961 here
-    assert len(g._coll._cache) - before < 400
+    # and 961 and 168 here
+    assert len(g._coll._cache) - before == 66
 
 
 def _class2(p, top, n):
