@@ -422,7 +422,7 @@ def consistency_check(
 
 def _depth(x: Element) -> int:
     """Index of the first nonzero exponent of x; len(x) for the identity."""
-    return x.index(next(filter(None, x))) if any(x) else len(x)  # that value's first place
+    return next((d for d, e in enumerate(x) if e), len(x))
 
 
 def _powers(group, x: Element, count: int) -> list[Element]:
@@ -543,16 +543,19 @@ def span(
     prod, inv = group.product, group.inverse
     conj = [(a, _depth(a)) for a in conj]
     sub = Subgroup(group, list(base._powers) if base else [None] * len(identity))
-    queue = [(x, None, None, 0) for x in gens]  # pending (x, a, seed, k) is in H once G_k is
-    queue += [(x, a, True, max(_depth(x), _depth(a or x)) + 1) for x, a in words]
-    for x, a, seed, k in queue:  # in the given order; new words are appended while walking
-        if seed is not None:
-            if sub._tail <= k or a and group.commuting_supports(x, a):
-                continue
-            if a is None:
-                x = _powers(group, x, p + 1)[-1]
-            else:  # [x, a] for a seed, x^a for a row's conjugate
-                x = prod(prod(prod(inv(x), inv(a)), x), a) if seed else prod(prod(inv(a), x), a)
+    # entry (x, a, form, k): the word "x", "x^p", "[x,a]" or "x^a", in H once H's tail is <= k
+    queue = [(x, None, "x", 0) for x in gens]
+    queue += [(x, a, "x^p" if a is None else "[x,a]", max(_depth(x), _depth(a or x)) + 1)
+              for x, a in words]
+    for x, a, form, k in queue:  # in the given order; new words are appended while walking
+        if sub._tail <= k or a and group.commuting_supports(x, a):
+            continue
+        if form == "x^p":
+            x = _powers(group, x, p + 1)[-1]
+        elif form == "[x,a]":
+            x = prod(prod(prod(inv(x), inv(a)), x), a)
+        elif form == "x^a":
+            x = prod(prod(inv(a), x), a)
         x = sub.sift(x)
         if x == identity:
             continue
@@ -561,7 +564,7 @@ def span(
         d = _depth(x)
         row = _powers(group, x, pow(x[d], -1, p) + 1)[-1]
         by = conj or zip(sub.rows, sub.depths)
-        queue += [(row, a, False, max(d, e) + 1) for a, e in [(None, d), *by]]
+        queue += [(row, None, "x^p", d + 1)] + [(row, a, "x^a", max(d, e) + 1) for a, e in by]
         sub._powers[d] = _powers(group, row, p)
         while sub._tail and sub._powers[sub._tail - 1]:
             sub._tail -= 1

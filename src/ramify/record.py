@@ -25,22 +25,19 @@ class Record:
         cls = type(self)
         if len(args) > len(cls._fields):
             raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}")
-        if kwargs or len(args) < len(cls._fields):
-            values = dict(zip(cls._fields, args))
-            for name, value in kwargs.items():
-                if name not in cls._fields or name in values:
-                    raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
-                values[name] = value
-            for name in cls._fields:
-                if name in values:
-                    object.__setattr__(self, name, values[name])
-                elif name in cls.__dict__:
-                    object.__setattr__(self, name, cls.__dict__[name])
-                else:
-                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
-        else:  # every field came by position
-            for name, value in zip(cls._fields, args):
-                object.__setattr__(self, name, value)
+        rest = cls._fields[len(args):]  # the fields not given by position
+        for name in kwargs:
+            if name not in rest:
+                raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+        for name, value in zip(cls._fields, args):
+            object.__setattr__(self, name, value)
+        for name in rest:
+            if name in kwargs:
+                object.__setattr__(self, name, kwargs[name])
+            elif name in cls.__dict__:
+                object.__setattr__(self, name, cls.__dict__[name])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
         self.__post_init__()
 
     def __post_init__(self) -> None:
