@@ -16,7 +16,6 @@ numbering follows from their indices.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 from typing import Mapping
 
@@ -31,8 +30,9 @@ from .record import Record
 
 class CosetGroup:
     """Quotient G/N on canonical coset representatives: the least element of
-    each coset, the one with zeros at N's leading depths, which ``N.sift``
-    clears.  The ambient group's cap bounds the quotient and its spans."""
+    each coset, the one with zeros at N's leading depths, its ``void_depths``,
+    which ``N.sift`` clears.  The ambient group's cap bounds the quotient and
+    its spans."""
 
     def __init__(self, group: PcGroup, kernel: Subgroup):
         if kernel.group is not group:
@@ -41,6 +41,7 @@ class CosetGroup:
             raise InputError("kernel must be a normal subgroup")
         self.ambient = group
         self.kernel = kernel
+        self.void_depths = frozenset(kernel.depths)
         self.p, self.cap = group.p, group.cap
         self.commuting_supports = group.commuting_supports  # as representatives in G
         self._require_cap = group._require_cap  # the ambient cap bounds a listing
@@ -49,17 +50,11 @@ class CosetGroup:
     def order(self) -> int:
         return self.ambient.order // self.kernel.order
 
-    def elements(self) -> list[Element]:
-        """The representatives in increasing order: exponent 0 at the
-        kernel's depths, anything at the others."""
-        self._require_cap()
-        depths = set(self.kernel.depths)
-        return list(itertools.product(
-            *[range(1) if d in depths else range(self.p) for d in range(self.ambient.pres.n)]))
+    elements = PcGroup.elements  # the representatives: exponent 0 at the kernel's depths
 
     def __contains__(self, x) -> bool:
         """Whether ``elements()`` lists x: zeros at the kernel's depths."""
-        return x in self.ambient and not any(x[d] for d in self.kernel.depths)
+        return x in self.ambient and not any(x[d] for d in self.void_depths)
 
     def identity(self) -> Element:
         return self.ambient.identity()
@@ -79,9 +74,18 @@ class CosetGroup:
         return sorted(images)
 
 
+def _level(raw, parsed: dict):
+    """parse_rat(raw), an int if integral; ``parsed`` keeps each int or str raw's by (type, raw)."""
+    key = (type(raw), raw) if type(raw) in (int, str) else None
+    if key is None or key not in parsed:  # any other raw is parsed anew, kept under None
+        v = parse_rat(raw)
+        parsed[key] = v.numerator if v.denominator == 1 else v
+    return parsed[key]
+
+
 class ValidationReport(Record):
     ok: bool
-    level: Fraction | None = None
+    level: int | Fraction | None = None
     witness: tuple | None = None
     reason: str = ""
 
@@ -93,34 +97,34 @@ class RamFiltration:
     """Break-value assignment with normal-subgroup level sets.
 
     ``ig`` maps non-identity elements to their value; ``default`` fills any
-    element not listed.  Values must be positive integers; a quotient's
-    filtration (``quotient_filtration``) may carry rational values, which
-    are kept exact.  ``levels`` holds (v, |S|, <S>^G) for each distinct
-    value v, increasing, S the identity and the elements of value >= v.
-    The constructor counts the unlisted elements and spans each level's
-    normal closure from the one above: one of more than |G|/p members from
-    the pc generators, others from their members.
+    element not listed.  Values must be positive integers, kept as ints; a
+    quotient's filtration (``quotient_filtration``) may carry rational
+    values, kept as Fractions.  ``levels`` holds (v, |S|, <S>^G) for each
+    distinct value v, increasing, S the identity and the elements of value
+    >= v.  The constructor counts the unlisted elements and spans each
+    level's normal closure from the one above: one of more than |G|/p
+    members from the pc generators, others from their members.
     """
 
     def __init__(self, group, ig: Mapping[Element, object], default=None, check: bool = True):
         self.group = group
         group._require_cap()  # a group past the cap is refused before any entry is read
-        identity, self._listed = group.identity(), {}
-        buckets: dict[Fraction, list[Element]] = {}  # listed elements by value, in input order
+        identity, self._listed, parsed = group.identity(), {}, {}
+        buckets: dict[int | Fraction, list] = {}  # listed elements by value, in input order
         for x, v in dict(ig).items():
             x = tuple(x)
             if x == identity:
                 raise InputError("the identity carries no finite value")
             if x not in group:
                 raise InputError(f"element {x} does not belong to the group")
-            self._listed[x] = v = parse_rat(v)
+            self._listed[x] = v = _level(v, parsed)
             buckets.setdefault(v, []).append(x)
         unlisted, self._fill = group.order - 1 - len(self._listed), None
         if unlisted:
             if default is None:
                 x = next(self._unlisted())
                 raise InputError(f"no value for element {x} and no default given")
-            self._fill = fill = parse_rat(default)
+            self._fill = fill = _level(default, parsed)
             buckets.setdefault(fill, [])
         for v, xs in buckets.items():
             must = "positive" if v <= 0 else "an integer" if v.denominator != 1 else None
@@ -208,11 +212,11 @@ class RamFiltration:
     def upper_breaks(self) -> list[Fraction]:
         """phi(v - 1) for each level v, where phi integrates 1/(G_0 : G_t):
         G_t is the level of value v for t in (the lower break below, v - 1]."""
-        order, x, y, ys = self.group.order, 0, Fraction(0), []
-        for v, size, _ in self.levels:
-            y += Fraction(size, order) * (v - 1 - x)
+        order, x, num, ys = self.group.order, 0, 0, []
+        for v, size, _ in self.levels:  # num = |G| phi(x), an int on integral levels
+            num += size * (v - 1 - x)
             x = v - 1
-            ys.append(y)
+            ys.append(Fraction(num, order))
         return ys
 
     def herbrand_func(self) -> PLFunc:
@@ -222,7 +226,7 @@ class RamFiltration:
         order, bps, slopes = self.group.order, [], []
         for (v, size, _), u in zip(self.levels, self.upper_breaks()):
             if v > 1:
-                bps.append((v - 1, u))
+                bps.append((Fraction(v - 1), u))
                 slopes.append(Fraction(size, order))
         slopes.append(Fraction(1, order))
         return PLFunc(tuple(bps), tuple(slopes))

@@ -287,11 +287,12 @@ class _Collector:
         cached = self._inv_cache.get(x)
         if cached is None:
             p, n = self.pres.p, self.pres.n
-            acc, cached = x, self.pres.identity()
+            acc = cached = x  # acc is x until the first step; x = 1 if none is taken
             for k in range(n):
                 if acc[k]:
                     step = tuple(p - acc[k] if j == k else 0 for j in range(n))
-                    acc, cached = self.product(acc, step), self.product(cached, step)
+                    cached = step if acc is x else self.product(cached, step)  # 1 step = step
+                    acc = self.product(acc, step)
             if len(self._inv_cache) >= _CACHE_LIMIT:
                 self._inv_cache.clear()
             self._inv_cache[x] = cached
@@ -448,19 +449,20 @@ class Subgroup:
 
     ``group`` is a ``PcGroup`` or a quotient with the same operations and
     ``cap`` whose elements have the same depth and additive leading
-    exponent.  H holds the tail G_t = <a_t, ..., a_n> for t = ``_tail``,
-    the least depth with a row at every depth from it on.  As G_t is a
-    subgroup and multiplying by it keeps the exponents before t (every rhs
-    of a_j lies after a_j), the sift of x at depths >= t is x's prefix with
-    zeros, for no product; also on a quotient G/N, where no row sits at a
-    depth of N.
+    exponent, zero at its ``void_depths`` (on G/N, N's depths).  H holds
+    G_t = <a_t, ..., a_n> (mod N) for t = ``_tail``, the least depth from
+    which each depth has a row or is void.  As G_t is a subgroup and
+    multiplying by it keeps the exponents before t (every rhs of a_j lies
+    after a_j), x sifts at depths >= t to its prefix with zeros, and H lists
+    as its rows' words before t times each tail zero at the void depths.
     """
 
     def __init__(self, group, powers: list):
         self.group = group
         # by depth: None, or [1, r, ..., r^(p-1)] for the row r of that depth
         self._powers = powers
-        self._tail = max((d + 1 for d, pw in enumerate(powers) if not pw), default=0)
+        void = group.void_depths
+        self._tail = max((d + 1 for d, pw in enumerate(powers) if not (pw or d in void)), default=0)
         self._elements: frozenset | None = None
 
     @property
@@ -481,9 +483,10 @@ class Subgroup:
         each step clears its depth and leaves the earlier ones.  From the
         tail on, the zeros are written at once."""
         p, powers, m = self.group.p, self._powers, self._tail
-        for d in range(m):
-            if x[d] and powers[d]:
-                x = self.group.product(x, powers[d][p - x[d]])
+        if any(x[:m]):
+            for d in range(m):
+                if x[d] and powers[d]:
+                    x = self.group.product(x, powers[d][p - x[d]])
         return x[:m] + (0,) * (len(x) - m)
 
     def __contains__(self, x) -> bool:
@@ -502,11 +505,12 @@ class Subgroup:
     @property
     def elements(self) -> frozenset:
         if self._elements is None:
-            t, words = self._tail, [self.group.identity()]
+            g, t, words = self.group, self._tail, [self.group.identity()]
             for pw in reversed(self._powers[:t]):
                 if pw:
-                    words += [self.group.product(r, w) for r in pw[1:] for w in words]
-            tails = list(itertools.product(range(self.group.p), repeat=len(self._powers) - t))
+                    words += [g.product(r, w) for r in pw[1:] for w in words]
+            tails = list(itertools.product(*[range(1) if d in g.void_depths else range(g.p)
+                                             for d in range(t, len(self._powers))]))
             self._elements = frozenset(w[:t] + s for w in words for s in tails)
         return self._elements
 
@@ -566,7 +570,7 @@ def span(
         by = conj or zip(sub.rows, sub.depths)
         queue += [(row, None, "x^p", d + 1)] + [(row, a, "x^a", max(d, e) + 1) for a, e in by]
         sub._powers[d] = _powers(group, row, p)
-        while sub._tail and sub._powers[sub._tail - 1]:
+        while sub._tail and (sub._powers[sub._tail - 1] or sub._tail - 1 in group.void_depths):
             sub._tail -= 1
     return sub
 
@@ -589,6 +593,8 @@ def _conjugates_exceed(group: "PcGroup", seed: list[Element]) -> bool:
 
 class PcGroup:
     """A consistency-checked presentation with group operations on normal forms."""
+
+    void_depths = frozenset()  # the depths where every element is zero: none
 
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_CAP, _checked: bool = False):
         self.pres = pres
@@ -651,12 +657,14 @@ class PcGroup:
             )
 
     def elements(self) -> list[Element]:
+        """The normal forms that are zero at the void depths, in increasing order."""
         self._require_cap()
-        return list(itertools.product(range(self.p), repeat=self.pres.n))
+        return list(itertools.product(*[range(1) if d in self.void_depths else range(self.p)
+                                        for d in range(len(self.identity()))]))
 
     def __contains__(self, x) -> bool:
         """Whether ``elements()`` lists x, a tuple, without listing them."""
-        return len(x) == self.pres.n and all(e in range(self.p) for e in x)
+        return len(x) == self.pres.n and all(map(range(self.p).__contains__, x))
 
     # -- subgroups ---------------------------------------------------------
 

@@ -24,7 +24,7 @@ from ramify import (
     quotient_filtration,
 )
 from ramify.cli import main
-from ramify.pcgroup import Subgroup, span
+from ramify.pcgroup import Subgroup, _Collector, span
 from ramify.ratio import parse_rat
 
 
@@ -460,8 +460,9 @@ def test_constructor_matches_per_element_reference(case):
 
 def _phi(rf, t):
     """phi(t), the integral of |G_s| / |G| over [0, t], from the values alone:
-    x != 1 lies in G_s for s <= v_x - 1, so it adds min(v_x - 1, t)."""
-    return (t + sum(min(v - 1, t) for v in rf.ig.values())) / rf.group.order
+    x != 1 lies in G_s for s <= v_x - 1, so it adds min(v_x - 1, t).  Integral
+    values are ints, so the quotient is taken as a Fraction."""
+    return F(t + sum(min(v - 1, t) for v in rf.ig.values()), rf.group.order)
 
 
 def _quotient_by_projection(rf, kernel):
@@ -583,6 +584,24 @@ def test_default_only_filtration_is_fast_and_small(n, cap, tmp_path, monkeypatch
         tracemalloc.stop()
     assert (code, capsys.readouterr().out) == (0, '{"ok": true}\n')
     assert elapsed < 0.1 and peak < 20 * 2**20
+
+
+def test_default_only_quotient_lists_its_image_without_collection(monkeypatch):
+    g = PcGroup(PcPresentation.from_json_dict({"p": 3, "n": 10}))
+    rf = RamFiltration(g, {}, default=1)
+    kernel = g.subgroup([g.generator(10)], normal=True)
+    collections, collect = [], _Collector._collect
+
+    def counting(self, v, stack):
+        collections.append(v)
+        return collect(self, v, stack)
+
+    monkeypatch.setattr(_Collector, "_collect", counting)
+    quot = quotient_filtration(rf, kernel)
+    assert (quot.group.order, len(quot.ig), set(quot.ig.values())) == (3**9, 3**9 - 1, {1})
+    # the image of G mod a_10 was listed by products while a_10's depth held no
+    # row: 19,731 collections
+    assert len(collections) <= 64
 
 
 def test_levels_above_a_pth_of_the_group_list_nothing(monkeypatch):

@@ -753,8 +753,9 @@ def test_series_collect_from_generators_only():
     rep = g.series_equality_check()
     assert rep["gamma_orders"] == rep["p_orders"] == [3**8, 3**4, 1]
     # the element-set series collected 13,835 products here, more than |G|, and
-    # spans collecting every conjugate, commutator and p-th power 212
-    assert len(g._coll._cache) - before == 47
+    # spans collecting every conjugate, commutator and p-th power 212, and
+    # inverses collecting the identity times their first step 47
+    assert len(g._coll._cache) - before == 43
 
 
 # -- induced pcgs: sifting against the element sets ------------------------------
@@ -845,12 +846,56 @@ def _subgroups_for_sifting(draw):
 def test_sift_matches_depth_by_depth_loop(case):
     subs, xs = case
     for sub in subs:
-        n = len(sub.group.identity())
-        tail = min(t for t in range(n + 1) if set(range(t, n)) <= set(sub.depths))
+        n, void = len(sub.group.identity()), sub.group.void_depths
+        # from the tail on, every depth has a row or is void (a kernel depth on G/N)
+        tail = min(t for t in range(n + 1) if set(range(t, n)) <= set(sub.depths) | void)
         assert sub._tail == tail
         project = getattr(sub.group, "project", lambda x: x)
         for x in [project(x) for x in xs] + list(sub.rows):
             assert sub.sift(x) == _sift_depth_by_depth(sub, x)
+
+
+@st.composite
+def _quotients_with_images(draw, p):
+    """A consistent group of order p^n, n >= 3, with a normal kernel at the
+    last depth or at a middle one, and up to three elements to project."""
+    n = draw(st.integers(3, {2: 6, 3: 5, 5: 3}[p]))
+
+    def rhs(j):
+        if j == n or draw(st.booleans()):
+            return {}
+        return dict(draw(st.lists(st.tuples(st.integers(j + 1, n), st.integers(1, p - 1)),
+                                  max_size=2)))
+
+    pres = PcPresentation.build(p, n, {j: rhs(j) for j in range(1, n + 1)},
+                                {(j, i): rhs(j) for j in range(2, n + 1) for i in range(1, j)})
+    assume(consistency_check(pres).ok)
+    g = PcGroup(pres)
+    # a_n is central; the normal closure of a_k, 1 < k < n, starts at a middle depth
+    kernel = g.normal_closure([g.generator(draw(st.integers(2, n)))])
+    element = st.tuples(*[st.integers(0, p - 1)] * n)
+    return CosetGroup(g, kernel), draw(st.lists(element, min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_tails_match_product_closure(p, data):
+    """On G/N, where a tail may pass N's depths without rows, the element
+    sets and sifts of spans of images against a product BFS."""
+    quot, gens = data.draw(_quotients_with_images(p))
+    images = [quot.project(x) for x in gens]
+    full = span(quot, quot.pc_generators())
+    assert full._tail == 0 and full.elements == frozenset(quot.elements())
+    for sub, ref in [(span(quot, images), _ref_closure(quot, images)),
+                     (span(quot, images, quot.pc_generators()), _ref_normal_closure(quot, images))]:
+        assert sub.elements == ref
+        for c in quot.elements():
+            s = sub.sift(c)
+            assert s == _sift_depth_by_depth(sub, c)
+            # the sift stays in the coset cH, and is the identity iff c is in H
+            assert quot.product(quot.inverse(c), s) in ref
+            assert (s == quot.identity()) == (c in ref)
 
 
 def test_probes_collect_few_products():
@@ -858,13 +903,14 @@ def test_probes_collect_few_products():
     before = len(g._coll._cache)
     assert g.rank_growth_probe(2)["order"] == 3**6
     # the element-set span collected 3,624 products here, and spans collecting
-    # every conjugate, commutator and p-th power 88
-    assert len(g._coll._cache) - before == 21
+    # every conjugate, commutator and p-th power 88, and with inverses that
+    # collect the identity times their first step 21
+    assert len(g._coll._cache) - before == 19
     g = _class2_order_3_8()
     before = len(g._coll._cache)
     g.just_infinite_probe(range(1, 9))
-    # and 961 and 168 here
-    assert len(g._coll._cache) - before == 66
+    # and 961, 168 and 66 here
+    assert len(g._coll._cache) - before == 62
 
 
 def _class2(p, top, n):
