@@ -649,9 +649,11 @@ def _ref_is_normal(g, h):
 
 
 @st.composite
-def _consistent_groups_with_gens(draw):
-    """A consistent group of order at most 243 and 0-3 random elements."""
-    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5) for n in range(1, 8) if p**n <= 243]))
+def _consistent_groups_with_gens(draw, prime=None):
+    """A consistent group of order at most 243 and 0-3 random elements; with
+    ``prime``, a group of order prime^n, n >= 3."""
+    p, n = draw(st.sampled_from([(p, n) for p in (2, 3, 5) for n in range(1, 8) if p**n <= 243
+                                 and prime in (None, p) and n >= (3 if prime else 1)]))
 
     def rhs(j):
         if j == n or draw(st.booleans()):
@@ -857,24 +859,12 @@ def test_sift_matches_depth_by_depth_loop(case):
 
 @st.composite
 def _quotients_with_images(draw, p):
-    """A consistent group of order p^n, n >= 3, with a normal kernel at the
-    last depth or at a middle one, and up to three elements to project."""
-    n = draw(st.integers(3, {2: 6, 3: 5, 5: 3}[p]))
-
-    def rhs(j):
-        if j == n or draw(st.booleans()):
-            return {}
-        return dict(draw(st.lists(st.tuples(st.integers(j + 1, n), st.integers(1, p - 1)),
-                                  max_size=2)))
-
-    pres = PcPresentation.build(p, n, {j: rhs(j) for j in range(1, n + 1)},
-                                {(j, i): rhs(j) for j in range(2, n + 1) for i in range(1, j)})
-    assume(consistency_check(pres).ok)
-    g = PcGroup(pres)
+    """A quotient of a group from _consistent_groups_with_gens of order p^n
+    by a kernel at the last depth or at a middle one, and its elements."""
+    g, gens, _ = draw(_consistent_groups_with_gens(p))
     # a_n is central; the normal closure of a_k, 1 < k < n, starts at a middle depth
-    kernel = g.normal_closure([g.generator(draw(st.integers(2, n)))])
-    element = st.tuples(*[st.integers(0, p - 1)] * n)
-    return CosetGroup(g, kernel), draw(st.lists(element, min_size=1, max_size=3))
+    kernel = g.normal_closure([g.generator(draw(st.integers(2, g.pres.n)))])
+    return CosetGroup(g, kernel), gens
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
