@@ -274,7 +274,8 @@ def _cmd_filtration(args) -> int:
         seed = _elements_arg(rf.group, args.kernel, "--kernel")
         kernel = rf.group.subgroup(seed, normal=True)
         quot = quotient_filtration(rf, kernel)
-        ig_rows = [{"element": list(x), "value": format_rat(v)} for x, v in sorted(quot.ig.items())]
+        ig_rows = [{"element": list(quot.group.lift(x)), "value": format_rat(v)}
+                   for x, v in sorted(quot.ig.items())]
         _emit_json({"order": quot.group.order, "ig": ig_rows,
                     "upper_breaks": [format_rat(u) for u in quot.upper_breaks()]}, args.out)
     return 0

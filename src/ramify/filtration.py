@@ -23,55 +23,51 @@ from .errors import InputError
 # invert and identity_func stay bound in this module, unused, because the
 # benchmark's span recorder (bench/spans.py) wraps both names here
 from .herbrand import PLFunc, identity_func, invert  # noqa: F401
-from .pcgroup import Element, PcGroup, Subgroup, span
+from .pcgroup import Element, PcGroup, PcPresentation, Subgroup, span
 from .ratio import parse_rat
 from .record import Record
 
 
-class CosetGroup:
-    """Quotient G/N on canonical coset representatives: the least element of
-    each coset, the one with zeros at N's leading depths, its ``void_depths``,
-    which ``N.sift`` clears.  The ambient group's cap bounds the quotient and
-    its spans."""
+class CosetGroup(PcGroup):
+    """Quotient G/N as a pc group on the images of G's generators at the m
+    depths where N has no row, an induced pcgs of G/N (Holt, Eick and
+    O'Brien, ch. 8).  Each relation of G among kept generators gives one of
+    Q: its rhs, sifted through N, at the kept depths.  That presentation is
+    consistent, as G/N satisfies it with p^m normal forms.  Elements are
+    m-tuples: ``project`` maps x in G to its coset's, the least element of
+    xN (zeros at N's depths, which ``N.sift`` clears) read at the kept
+    depths, and ``lift`` writes one back with zeros at N's depths.  The
+    ambient group's cap bounds the quotient and its spans."""
 
     def __init__(self, group: PcGroup, kernel: Subgroup):
         if kernel.group is not group:
             raise InputError("kernel must be a subgroup of the given group")
         if not kernel.is_normal():
             raise InputError("kernel must be a normal subgroup")
-        self.ambient = group
-        self.kernel = kernel
-        self.void_depths = frozenset(kernel.depths)
-        self.p, self.cap = group.p, group.cap
-        self.commuting_supports = group.commuting_supports  # as representatives in G
+        self.ambient, self.kernel = group, kernel
+        self._kept = sorted(set(range(group.pres.n)) - set(kernel.depths))
+        # a_j of G -> the index of its image in Q; 0 -> 0 keeps the power keys
+        index = {0: 0, **{d + 1: k + 1 for k, d in enumerate(self._kept)}}
+        relations = []
+        for (j, i), rhs in group.pres.relations:  # in key order, which the increasing index keeps
+            if j in index and i in index:
+                y = self.project(tuple(dict(rhs).get(k, 0) for k in range(1, group.pres.n + 1)))
+                rhs_q = tuple((k + 1, e) for k, e in enumerate(y) if e)
+                if rhs_q:
+                    relations.append(((index[j], index[i]), rhs_q))
+        super().__init__(PcPresentation(group.p, len(self._kept), tuple(relations)), group.cap,
+                         _checked=True)
         self._require_cap = group._require_cap  # the ambient cap bounds a listing
 
-    @property
-    def order(self) -> int:
-        return self.ambient.order // self.kernel.order
-
-    elements = PcGroup.elements  # the representatives: exponent 0 at the kernel's depths
-
-    def __contains__(self, x) -> bool:
-        """Whether ``elements()`` lists x: zeros at the kernel's depths."""
-        return x in self.ambient and not any(x[d] for d in self.void_depths)
-
-    def identity(self) -> Element:
-        return self.ambient.identity()
-
     def project(self, x: Element) -> Element:
-        return self.kernel.sift(x)
+        x = self.kernel.sift(x)
+        return tuple(x[d] for d in self._kept)
 
-    def product(self, x: Element, y: Element) -> Element:
-        return self.project(self.ambient.product(x, y))
-
-    def inverse(self, x: Element) -> Element:
-        return self.project(self.ambient.inverse(x))
-
-    def pc_generators(self) -> list[Element]:
-        images = {self.project(a) for a in self.ambient.pc_generators()}
-        images.discard(self.identity())
-        return sorted(images)
+    def lift(self, y: Element) -> Element:
+        x = [0] * self.ambient.pres.n
+        for d, e in zip(self._kept, y):
+            x[d] = e
+        return tuple(x)
 
 
 def _level(raw, parsed: dict):

@@ -323,7 +323,7 @@ def _weights(pres: PcPresentation) -> list[int]:
         for k, _ in rhs:
             for w in least, rising:
                 w[k - 1] = max(w[k - 1], w[j - 1] + (w[i - 1] if i else 1))
-    return least if max(least) <= 2 else list(itertools.accumulate(rising, max))
+    return least if max(least, default=0) <= 2 else list(itertools.accumulate(rising, max))
 
 
 def _overlap_triples(pres: PcPresentation, weights: list[int] | None = None
@@ -338,7 +338,7 @@ def _overlap_triples(pres: PcPresentation, weights: list[int] | None = None
     """
     n, p = pres.n, pres.p
     w, c = (weights, max(weights)) if weights else ([0] * n, 1)
-    if weights and c <= 2:  # every test weighs at least 3
+    if not n or weights and c <= 2:  # every test weighs at least 3 and takes a generator
         return
 
     def end(bound: int, hi: int) -> int:  # range(end) holds the i < hi with w_i <= bound
@@ -447,22 +447,19 @@ class Subgroup:
     equal iff the rows of one lie in the other; they hash by depths.
     ``elements`` enumerates H on first use only.
 
-    ``group`` is a ``PcGroup`` or a quotient with the same operations and
-    ``cap`` whose elements have the same depth and additive leading
-    exponent, zero at its ``void_depths`` (on G/N, N's depths).  H holds
-    G_t = <a_t, ..., a_n> (mod N) for t = ``_tail``, the least depth from
-    which each depth has a row or is void.  As G_t is a subgroup and
+    ``group`` is a ``PcGroup``, a quotient G/N too (``CosetGroup``).  H
+    holds the tail G_t = <a_t, ..., a_n> for t = ``_tail``, the least depth
+    with a row at every depth from it on.  As G_t is a subgroup and
     multiplying by it keeps the exponents before t (every rhs of a_j lies
     after a_j), x sifts at depths >= t to its prefix with zeros, and H lists
-    as its rows' words before t times each tail zero at the void depths.
+    as its rows' words before t times every tail vector.
     """
 
-    def __init__(self, group, powers: list):
+    def __init__(self, group: "PcGroup", powers: list):
         self.group = group
         # by depth: None, or [1, r, ..., r^(p-1)] for the row r of that depth
         self._powers = powers
-        void = group.void_depths
-        self._tail = max((d + 1 for d, pw in enumerate(powers) if not (pw or d in void)), default=0)
+        self._tail = max((d + 1 for d, pw in enumerate(powers) if not pw), default=0)
         self._elements: frozenset | None = None
 
     @property
@@ -509,8 +506,7 @@ class Subgroup:
             for pw in reversed(self._powers[:t]):
                 if pw:
                     words += [g.product(r, w) for r in pw[1:] for w in words]
-            tails = list(itertools.product(*[range(1) if d in g.void_depths else range(g.p)
-                                             for d in range(t, len(self._powers))]))
+            tails = list(itertools.product(range(g.p), repeat=len(self._powers) - t))
             self._elements = frozenset(w[:t] + s for w in words for s in tails)
         return self._elements
 
@@ -521,15 +517,19 @@ class Subgroup:
         return [x for d, x in zip(self.depths, self.rows) if d not in skip]
 
     def is_normal(self) -> bool:
-        """Whether the conjugates of the rows by the pc generators lie in H."""
-        g = self.group
+        """Whether the conjugates of the rows by the pc generators lie in H.
+        Those of a row in the tail G_t lie in G_t, a normal subgroup, and a
+        row whose support commutes with a's is its own conjugate: neither is
+        collected."""
+        g, t = self.group, self._tail
         return all(g.product(g.product(g.inverse(a), x), a) in self
-                   for a in g.pc_generators() for x in self.rows)
+                   for a in g.pc_generators() for d, x in zip(self.depths, self.rows)
+                   if d < t and not g.commuting_supports(x, a))
 
 
 def span(
-    group, gens: Iterable[Element], conj: Iterable[Element] = (), base: Subgroup | None = None,
-    words: Iterable[tuple[Element, Element | None]] = (),
+    group: "PcGroup", gens: Iterable[Element], conj: Iterable[Element] = (),
+    base: Subgroup | None = None, words: Iterable[tuple[Element, Element | None]] = (),
 ) -> Subgroup:
     """The subgroup generated by ``gens``, ``words`` and ``base``, normalized by ``conj``.
 
@@ -542,6 +542,7 @@ def span(
     when popped and only if H may lack them (README, "Words that cannot add a
     row").  The rows' normal words are then a subgroup normalized by <conj>
     (README, "One seed rule").  A subgroup of order above ``group.cap`` raises.
+    ``group`` is any ``PcGroup``, a quotient G/N (``CosetGroup``) too.
     """
     p, identity = group.p, group.identity()
     prod, inv = group.product, group.inverse
@@ -570,7 +571,7 @@ def span(
         by = conj or zip(sub.rows, sub.depths)
         queue += [(row, None, "x^p", d + 1)] + [(row, a, "x^a", max(d, e) + 1) for a, e in by]
         sub._powers[d] = _powers(group, row, p)
-        while sub._tail and (sub._powers[sub._tail - 1] or sub._tail - 1 in group.void_depths):
+        while sub._tail and sub._powers[sub._tail - 1]:
             sub._tail -= 1
     return sub
 
@@ -593,8 +594,6 @@ def _conjugates_exceed(group: "PcGroup", seed: list[Element]) -> bool:
 
 class PcGroup:
     """A consistency-checked presentation with group operations on normal forms."""
-
-    void_depths = frozenset()  # the depths where every element is zero: none
 
     def __init__(self, pres: PcPresentation, cap: int = DEFAULT_CAP, _checked: bool = False):
         self.pres = pres
@@ -657,10 +656,9 @@ class PcGroup:
             )
 
     def elements(self) -> list[Element]:
-        """The normal forms that are zero at the void depths, in increasing order."""
+        """The normal forms, in increasing order."""
         self._require_cap()
-        return list(itertools.product(*[range(1) if d in self.void_depths else range(self.p)
-                                        for d in range(len(self.identity()))]))
+        return list(itertools.product(range(self.p), repeat=self.pres.n))
 
     def __contains__(self, x) -> bool:
         """Whether ``elements()`` lists x, a tuple, without listing them."""

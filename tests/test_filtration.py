@@ -429,8 +429,8 @@ _BAD_VALUES = [0, -1, "-2", "3/2", F(1, 3), "x"]
 def _raw_assignments(draw):
     """A group or quotient, raw listed values and a default: mostly a
     chain's values, as ints or strings, some listed ones then replaced by bad
-    values, the identity or a non-member (on a quotient also an ambient
-    element that is no coset representative), and the default absent,
+    values, the identity or a non-member (on a quotient also an element of
+    the ambient group, a tuple of its length), and the default absent,
     valid or bad."""
     g = draw(st.sampled_from(_CHAIN_GROUPS))
     elements = g.elements()
@@ -634,9 +634,9 @@ def test_small_default_level_lists_its_unlisted_members():
 
 @pytest.mark.parametrize("g", _CHAIN_GROUPS, ids=lambda g: f"{type(g).__name__}-{g.order}")
 def test_membership_matches_the_listing(g):
-    """Wrong lengths, exponents out of range, and ambient elements that are
-    no coset representative belong exactly when ``elements()`` lists them,
-    for ``in`` and for the constructor; ``in`` compares exponents by value."""
+    """Wrong lengths and exponents out of range belong exactly when
+    ``elements()`` lists them, for ``in`` and for the constructor; ``in``
+    compares exponents by value."""
     n, listed, identity = len(g.identity()), set(g.elements()), g.identity()
     for x in [(1.0,) + identity[1:], (True,) + identity[1:], (F(2),) + identity[1:],
               ("1",) + identity[1:]]:

@@ -848,9 +848,9 @@ def _subgroups_for_sifting(draw):
 def test_sift_matches_depth_by_depth_loop(case):
     subs, xs = case
     for sub in subs:
-        n, void = len(sub.group.identity()), sub.group.void_depths
-        # from the tail on, every depth has a row or is void (a kernel depth on G/N)
-        tail = min(t for t in range(n + 1) if set(range(t, n)) <= set(sub.depths) | void)
+        n = len(sub.group.identity())
+        # from the tail on, every depth has a row
+        tail = min(t for t in range(n + 1) if set(range(t, n)) <= set(sub.depths))
         assert sub._tail == tail
         project = getattr(sub.group, "project", lambda x: x)
         for x in [project(x) for x in xs] + list(sub.rows):
@@ -871,8 +871,8 @@ def _quotients_with_images(draw, p):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_quotient_tails_match_product_closure(p, data):
-    """On G/N, where a tail may pass N's depths without rows, the element
-    sets and sifts of spans of images against a product BFS."""
+    """On G/N, the element sets and sifts of spans of images against a
+    product BFS."""
     quot, gens = data.draw(_quotients_with_images(p))
     images = [quot.project(x) for x in gens]
     full = span(quot, quot.pc_generators())
@@ -886,6 +886,61 @@ def test_quotient_tails_match_product_closure(p, data):
             # the sift stays in the coset cH, and is the identity iff c is in H
             assert quot.product(quot.inverse(c), s) in ref
             assert (s == quot.identity()) == (c in ref)
+
+
+def _assert_quotient_multiplies_as_ambient(quot):
+    """Q's collected products, lifted, are G's products sifted through N;
+    project undoes lift, |Q| |N| = |G|, and Q's presentation is consistent."""
+    g, kernel = quot.ambient, quot.kernel
+    assert quot.order * kernel.order == g.order
+    assert consistency_check(quot.pres).ok
+    for x in quot.elements():
+        assert quot.project(quot.lift(x)) == x
+        for y in quot.elements():
+            assert quot.lift(quot.product(x, y)) == kernel.sift(
+                g.product(quot.lift(x), quot.lift(y)))
+
+
+# Heisenberg times C_3 modulo <a_3 a_4>: the kernel's row is no unit vector
+_HEIS_C3 = PcGroup(PcPresentation.build(3, 4, comm={(2, 1): {3: 1}}))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quotient_product_matches_ambient_product(p, data):
+    quot, _ = data.draw(_quotients_with_images(p))
+    _assert_quotient_multiplies_as_ambient(quot)
+
+
+def test_quotients_of_heisenberg_times_c3_multiply_as_ambient():
+    g = _HEIS_C3
+    diagonal = g.normal_closure([(0, 0, 1, 1)])
+    assert diagonal.rows == ((0, 0, 1, 1),)
+    for kernel in (diagonal, g.trivial_subgroup(), g.full_subgroup()):
+        _assert_quotient_multiplies_as_ambient(CosetGroup(g, kernel))
+
+
+def _is_normal_unskipped(sub):
+    g = sub.group
+    return all(g.product(g.product(g.inverse(a), x), a) in sub
+               for a in g.pc_generators() for x in sub.rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_groups_with_two_spans())
+def test_is_normal_matches_unskipped_loop(case):
+    """``is_normal`` skips rows in the tail and pairs with commuting
+    supports; on normal and non-normal subgroups of G and of a quotient it
+    agrees with the loop over every row and pc generator."""
+    g, gens, normal, others, kernel_seed = case
+    quot = CosetGroup(g, g.normal_closure(kernel_seed))
+    subs = [g.subgroup(gens, normal=normal), g.subgroup(others), g.subgroup(gens + others)]
+    # cyclic subgroups, of which some are not normal
+    subs += [g.subgroup([x]) for x in gens + others + list(g.pc_generators())]
+    subs += [span(quot, [x]) for x in quot.pc_generators()]
+    for sub in subs:
+        assert sub.is_normal() == _is_normal_unskipped(sub)
 
 
 def test_probes_collect_few_products():
