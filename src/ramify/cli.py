@@ -20,21 +20,24 @@ from .errors import (
     InconsistentPresentationError,
     InfeasiblePlanError,
     InputError,
+    digit_limit_error,
+    is_int,
+    reject_unknown,
 )
-from .ratio import digit_limit_error, format_rat, is_int, parse_rat, reject_unknown
 
 __all__ = ["main"]
 
 # The layer names each command family calls.  Importing this module loads no
-# layer: main binds a family's names on its first command, through the lazy
-# package namespace, which knows each name's home module.
+# layer, nor fractions: main binds a family's names on its first command,
+# through the lazy package namespace, which knows each name's home module.
 _FAMILY_NAMES = {
-    "herbrand": ("PLFunc", "compose", "invert", "psi_step"),
+    "herbrand": ("PLFunc", "compose", "invert", "psi_step", "format_rat", "parse_rat"),
     "group": ("DEFAULT_CAP", "PcGroup", "PcPresentation", "consistency_check"),
     "filtration": ("DEFAULT_CAP", "PcGroup", "PcPresentation", "RamFiltration",
-                   "quotient_filtration"),
-    "plan": ("TowerPlan", "break_triple_feasible", "cyclic_break_admissible", "evaluate_plan"),
-    "merge": ("BreakSequence", "compositum_merge", "repair_merge"),
+                   "quotient_filtration", "format_rat", "parse_rat"),
+    "plan": ("TowerPlan", "break_triple_feasible", "cyclic_break_admissible", "evaluate_plan",
+             "format_rat"),
+    "merge": ("BreakSequence", "compositum_merge", "repair_merge", "format_rat"),
 }
 _LAYER_NAMES = {name for names in _FAMILY_NAMES.values() for name in names}
 

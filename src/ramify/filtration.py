@@ -16,8 +16,8 @@ numbering follows from their indices.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import InputError
 # invert and identity_func stay bound in this module, unused, because the

@@ -18,12 +18,12 @@ tower calculus below purely rational.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable
 
-from .errors import InputError
-from .ratio import format_rat, parse_rat, reject_unknown, require_posint, require_prime
+from .errors import InputError, reject_unknown, require_posint, require_prime
+from .ratio import format_rat, parse_rat
 from .record import Record
 
 

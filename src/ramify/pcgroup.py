@@ -35,10 +35,10 @@ import array
 import bisect
 import functools
 import itertools
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import CapExceededError, InconsistentPresentationError, InputError
-from .ratio import is_int, reject_unknown, require_posint, require_prime
+from .errors import (CapExceededError, InconsistentPresentationError, InputError, is_int,
+                     reject_unknown, require_posint, require_prime)
 from .record import Record
 
 

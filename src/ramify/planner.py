@@ -22,14 +22,14 @@ is built only for a value that is printed (an upper break, ratio or bound).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
-from .errors import InfeasiblePlanError, InputError
+from .errors import InfeasiblePlanError, InputError, is_int, require_posint, require_prime
 # psi_step and tower_psi stay bound in this module, unused, because the benchmark's
 # span recorder (bench/spans.py) wraps planner.psi_step and planner.tower_psi
 from .herbrand import psi_step, tower_psi, upper_breaks_of  # noqa: F401
-from .ratio import format_rat, is_int, parse_rat, require_posint, require_prime
+from .ratio import format_rat, parse_rat
 from .record import Record
 
 

@@ -746,14 +746,16 @@ _LAYERS = {"ramify.herbrand", "ramify.pcgroup", "ramify.filtration", "ramify.pla
 _NOT_AT_START = {"dataclasses", "concurrent.futures"}
 # a regular argv is scanned off the flag table; argparse serves help and usage errors
 _ARGPARSE = {"argparse", "gettext"}
+# exact rationals: only the families that read or print a rational load them
+_RATIONAL = {"ramify.ratio", "fractions", "decimal", "numbers"}
 
 
-def _fresh(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter on the same ramify."""
+def _fresh(code: str, *flags: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter, given ``flags``, on the same ramify."""
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = _SRC + os.pathsep + inherited if inherited else _SRC
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -769,10 +771,11 @@ def _loaded_by(code: str) -> set:
 def test_bare_import_loads_no_layer():
     loaded = _loaded_by("import ramify.cli")
     assert "ramify.cli" in loaded
-    assert not loaded & (_LAYERS | _NOT_AT_START | _ARGPARSE)
+    assert not loaded & (_LAYERS | _NOT_AT_START | _ARGPARSE | _RATIONAL)
 
 
-@pytest.mark.parametrize(
+# one command per family, with the layers it loads
+_FAMILY_RUNS = pytest.mark.parametrize(
     "argv, layers",
     [
         (["herbrand", "step", "--break", "1", "--p", "2"], {"ramify.herbrand"}),
@@ -785,12 +788,31 @@ def test_bare_import_loads_no_layer():
     ],
     ids=["herbrand", "group", "filtration", "plan", "merge"],
 )
-def test_each_family_loads_only_its_layers(argv, layers):
+
+
+def _run_code(argv) -> str:
     argv = [str(_GOLDEN_INPUTS / a) if a.endswith(".json") else a for a in argv]
-    loaded = _loaded_by(f"import ramify.cli\nassert ramify.cli.main({argv!r}) == 0")
+    return f"import ramify.cli\nassert ramify.cli.main({argv!r}) == 0"
+
+
+@_FAMILY_RUNS
+def test_each_family_loads_only_its_layers(argv, layers):
+    loaded = _loaded_by(_run_code(argv))
     assert loaded & _LAYERS == layers
     # the layers' records load neither dataclasses nor inspect
     assert not loaded & (_NOT_AT_START | _ARGPARSE | {"inspect"})
+    # group commands run on integers alone; every other family reads or prints rationals
+    if argv[0] == "group":
+        assert not loaded & _RATIONAL
+    else:
+        assert "ramify.ratio" in loaded
+
+
+@_FAMILY_RUNS
+def test_no_family_loads_typing(argv, layers):
+    # -S: the site module, which may load typing itself, does not run
+    code = _run_code(argv) + "\nimport sys\nprint('typing' in sys.modules)"
+    assert _fresh(code, "-S").splitlines()[-1] == "False"
 
 
 def test_usage_error_loads_argparse_and_keeps_its_bytes():
