@@ -6,6 +6,8 @@ Output is deterministic: keys sorted, element lists sorted, rationals as
 "num/den" strings, no timestamps.  The environment variable RAMIFY_CAP
 overrides the group enumeration cap.
 """
+# Argv, dispatch, output plumbing and exit codes only: each type reads and writes
+# its own wire format.  The docstring above is the --help description, byte for byte.
 
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .errors import (
     InfeasiblePlanError,
     InputError,
     digit_limit_error,
-    is_int,
     reject_unknown,
 )
 
@@ -33,11 +34,10 @@ __all__ = ["main"]
 _FAMILY_NAMES = {
     "herbrand": ("PLFunc", "compose", "invert", "psi_step", "format_rat", "parse_rat"),
     "group": ("DEFAULT_CAP", "PcGroup", "PcPresentation", "consistency_check"),
-    "filtration": ("DEFAULT_CAP", "PcGroup", "PcPresentation", "RamFiltration",
-                   "quotient_filtration", "format_rat", "parse_rat"),
-    "plan": ("TowerPlan", "break_triple_feasible", "cyclic_break_admissible", "evaluate_plan",
-             "format_rat"),
-    "merge": ("BreakSequence", "compositum_merge", "repair_merge", "format_rat"),
+    "filtration": ("DEFAULT_CAP", "RamFiltration", "quotient_filtration", "format_rat",
+                   "parse_rat"),
+    "plan": ("TowerPlan", "break_triple_feasible", "cyclic_break_admissible", "evaluate_plan"),
+    "merge": ("BreakSequence", "compositum_merge", "repair_merge"),
 }
 _LAYER_NAMES = {name for names in _FAMILY_NAMES.values() for name in names}
 
@@ -122,53 +122,9 @@ def _subgroup_json(sub) -> dict:
     return {"order": sub.order, "elements": [list(x) for x in sorted(sub.elements)]}
 
 
-def _load_filtration(data, cap: int, check: bool) -> RamFiltration:
-    if not isinstance(data, dict):
-        raise InputError("filtration JSON must be an object")
-    if "group" not in data:
-        raise InputError('filtration JSON needs a "group" presentation')
-    group = PcGroup(PcPresentation.from_json_dict(data["group"]), cap=cap)
-    entries = data.get("ig", [])
-    if not isinstance(entries, list):
-        raise InputError('"ig" must be a list of {"element", "value"} objects')
-    ig = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or set(entry) != {"element", "value"}:
-            raise InputError('each "ig" entry needs exactly "element" and "value"')
-        element = entry["element"]
-        if not isinstance(element, list) or not all(map(is_int, element)):
-            raise InputError('"element" must be a list of integer exponents')
-        key = tuple(element)
-        if key in ig:
-            raise InputError(f"duplicate ig entry for element {list(key)}")
-        ig[key] = entry["value"]
-    default = data.get("default")
-    reject_unknown(data, ("group", "ig", "default"), "filtration")
-    return RamFiltration(group, ig, default=default, check=check)
-
-
-def _verdict_obj(seq: BreakSequence) -> dict:
-    return {
-        "verdict": seq.verdict,
-        "limit_bound": None if seq.limit_bound is None else format_rat(seq.limit_bound),
-        "certificate": seq.certificate,
-        "warnings": list(seq.warnings),
-    }
-
-
-def _seq_csv(seq: BreakSequence) -> str:
-    lines = ["n,lower_break,upper_break,flag"]
-    for k in range(seq.horizon):
-        lower = format_rat(seq.lower[k]) if seq.lower else ""
-        flag = 1 if seq.flag_at(k) else 0
-        lines.append(f"{seq.levels[k]},{lower},{format_rat(seq.upper[k])},{flag}")
-    lines.append(json.dumps(_verdict_obj(seq), sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
 def _seq_output(seq: BreakSequence, fmt: str, out_path: str | None) -> None:
     if fmt == "csv":
-        _emit(_seq_csv(seq), out_path)
+        _emit(seq.to_csv(), out_path)
     else:
         _emit_json(seq.to_json_dict(), out_path)
 
@@ -260,7 +216,7 @@ def _cmd_filtration(args) -> int:
     cap = _cap()
     data = _read_json(args.file)
     if args.action == "validate":
-        rf = _load_filtration(data, cap, check=False)
+        rf = RamFiltration.from_json_dict(data, cap, check=False)
         report = rf.validate()
         out = {"ok": True}
         if not report.ok:
@@ -268,7 +224,7 @@ def _cmd_filtration(args) -> int:
                    "witness": [list(w) for w in report.witness]}
         _emit_json(out, args.out)
         return 0
-    rf = _load_filtration(data, cap, check=True)
+    rf = RamFiltration.from_json_dict(data, cap)
     if args.action == "herbrand":
         _emit_json(rf.herbrand_func().to_json_dict(), args.out)
     elif args.action == "upper":
@@ -322,7 +278,7 @@ def _cmd_plan(args) -> int:
         else:
             seqs = [_evaluate_plan_dict(d) for d in plan_dicts]
         if args.format == "csv":
-            _emit("".join(_seq_csv(s) for s in seqs), args.out)
+            _emit("".join(s.to_csv() for s in seqs), args.out)
         else:
             _emit_json({"results": [s.to_json_dict() for s in seqs]}, args.out)
         return 0

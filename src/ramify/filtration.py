@@ -4,13 +4,14 @@ A filtration assigns every non-identity element a positive break value
 (the identity sits above everything); the level set at height t holds the
 identity and all elements of value >= t + 1, and must be a normal subgroup.
 The filtration is thus a chain of normal subgroups, one per distinct value,
-built at load: validation, level sets and both numberings read it.  The upper
-break of level v is phi(v - 1), phi the integral of the subgroup indices,
-and as phi is strictly increasing the upper level set at u is the first
-level whose upper break is >= u.  By Herbrand's theorem a quotient's upper
-level sets, its chain, are the images of the ambient ones (Serre, *Local
-Fields*, ch. IV §1 and §3), spanned by the images of their rows; its lower
-numbering follows from their indices.
+built at load (from JSON by ``RamFiltration.from_json_dict``): validation,
+level sets and both numberings read it.  The upper break of level v is
+phi(v - 1), phi the integral of the subgroup indices, and as phi is
+strictly increasing the upper level set at u is the first level whose
+upper break is >= u.  By Herbrand's theorem a quotient's upper level sets
+are the images of the ambient ones (Serre, *Local Fields*, ch. IV §1 and
+§3) in G/N, a pc group (``pcgroup.CosetGroup``), spanned by the images of
+their rows; its lower numbering follows from their indices.
 """
 
 from __future__ import annotations
@@ -19,55 +20,13 @@ import functools
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, is_int, reject_unknown
 # invert and identity_func stay bound in this module, unused, because the
 # benchmark's span recorder (bench/spans.py) wraps both names here
 from .herbrand import PLFunc, identity_func, invert  # noqa: F401
-from .pcgroup import Element, PcGroup, PcPresentation, Subgroup, span
+from .pcgroup import DEFAULT_CAP, CosetGroup, Element, PcGroup, PcPresentation, Subgroup, span
 from .ratio import parse_rat
 from .record import Record
-
-
-class CosetGroup(PcGroup):
-    """Quotient G/N as a pc group on the images of G's generators at the m
-    depths where N has no row, an induced pcgs of G/N (Holt, Eick and
-    O'Brien, ch. 8).  Each relation of G among kept generators gives one of
-    Q: its rhs, sifted through N, at the kept depths.  That presentation is
-    consistent, as G/N satisfies it with p^m normal forms.  Elements are
-    m-tuples: ``project`` maps x in G to its coset's, the least element of
-    xN (zeros at N's depths, which ``N.sift`` clears) read at the kept
-    depths, and ``lift`` writes one back with zeros at N's depths.  The
-    ambient group's cap bounds the quotient and its spans."""
-
-    def __init__(self, group: PcGroup, kernel: Subgroup):
-        if kernel.group is not group:
-            raise InputError("kernel must be a subgroup of the given group")
-        if not kernel.is_normal():
-            raise InputError("kernel must be a normal subgroup")
-        self.ambient, self.kernel = group, kernel
-        self._kept = sorted(set(range(group.pres.n)) - set(kernel.depths))
-        # a_j of G -> the index of its image in Q; 0 -> 0 keeps the power keys
-        index = {0: 0, **{d + 1: k + 1 for k, d in enumerate(self._kept)}}
-        relations = []
-        for (j, i), rhs in group.pres.relations:  # in key order, which the increasing index keeps
-            if j in index and i in index:
-                y = self.project(tuple(dict(rhs).get(k, 0) for k in range(1, group.pres.n + 1)))
-                rhs_q = tuple((k + 1, e) for k, e in enumerate(y) if e)
-                if rhs_q:
-                    relations.append(((index[j], index[i]), rhs_q))
-        super().__init__(PcPresentation(group.p, len(self._kept), tuple(relations)), group.cap,
-                         _checked=True)
-        self._require_cap = group._require_cap  # the ambient cap bounds a listing
-
-    def project(self, x: Element) -> Element:
-        x = self.kernel.sift(x)
-        return tuple(x[d] for d in self._kept)
-
-    def lift(self, y: Element) -> Element:
-        x = [0] * self.ambient.pres.n
-        for d, e in zip(self._kept, y):
-            x[d] = e
-        return tuple(x)
 
 
 def _level(raw, parsed: dict):
@@ -145,6 +104,32 @@ class RamFiltration:
                 )
 
     @classmethod
+    def from_json_dict(cls, data, cap: int = DEFAULT_CAP, check: bool = True) -> "RamFiltration":
+        """The filtration of JSON {"group", "ig", "default"}, its group loaded under ``cap``."""
+        if not isinstance(data, dict):
+            raise InputError("filtration JSON must be an object")
+        if "group" not in data:
+            raise InputError('filtration JSON needs a "group" presentation')
+        group = PcGroup(PcPresentation.from_json_dict(data["group"]), cap=cap)
+        entries = data.get("ig", [])
+        if not isinstance(entries, list):
+            raise InputError('"ig" must be a list of {"element", "value"} objects')
+        ig = {}
+        for entry in entries:
+            if not isinstance(entry, dict) or set(entry) != {"element", "value"}:
+                raise InputError('each "ig" entry needs exactly "element" and "value"')
+            element = entry["element"]
+            if not isinstance(element, list) or not all(map(is_int, element)):
+                raise InputError('"element" must be a list of integer exponents')
+            key = tuple(element)
+            if key in ig:
+                raise InputError(f"duplicate ig entry for element {list(key)}")
+            ig[key] = entry["value"]
+        default = data.get("default")
+        reject_unknown(data, ("group", "ig", "default"), "filtration")
+        return cls(group, ig, default=default, check=check)
+
+    @classmethod
     def _from_chain(cls, group, ig: dict[Element, Fraction], levels: list) -> "RamFiltration":
         """The filtration with values ``ig`` and chain ``levels`` of (v, |S|, S),
         v increasing, valid by construction: nothing is listed, spanned or checked."""
@@ -200,7 +185,7 @@ class RamFiltration:
                         if g.product(x, y) not in members)
             return ValidationReport(False, v - 1, (x, y), "not closed under product")
         a, x = next((a, x) for x in members for a in g.pc_generators()
-                    if g.product(g.product(g.inverse(a), x), a) not in members)
+                    if g.conjugate(x, a) not in members)
         return ValidationReport(False, v - 1, (a, x), "not normal")
 
     # -- transition functions -----------------------------------------------

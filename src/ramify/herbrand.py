@@ -191,16 +191,16 @@ def tower_upper_breaks(relative_breaks: Iterable[int], p) -> tuple[Fraction, ...
 
     u_1 = t_1 and u_n = u_(n-1) + (t_n - t_(n-1))/p^(n-1), the inverse of
     the tower so far evaluated at t_n (Serre, *Local Fields*, ch. IV §3).
-    Checks p and the breaks, then runs `upper_breaks_of`.  No transition
-    function is built unless a break fails to increase, whose error quotes
-    the upper break the inverse gives it.
+    Checks p and the breaks, then runs `upper_breaks_of`.  A break t that
+    fails to increase raises, quoting the inverse of the tower below it at t:
+    the recurrence on the breaks less than t, then t, on the segment of t.
     """
     p = require_prime(p)
     breaks = list(relative_breaks)
     for n, t in enumerate(breaks):
         require_posint("relative break", t)
         if n and t <= breaks[n - 1]:
-            upper = invert(tower_psi(breaks[:n], p)).eval(t)
+            upper = upper_breaks_of(breaks[:bisect_left(breaks, t, 0, n)] + [t], p)[-1]
             raise InputError(f"non-increasing filtration: upper break {upper} "
                              f"does not exceed {upper_breaks_of(breaks[:n], p)[-1]}")
     return upper_breaks_of(breaks, p)

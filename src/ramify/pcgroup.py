@@ -26,7 +26,8 @@ element set is enumerated only when asked for; the group's ``cap`` bounds
 every span, and a derived word is collected only if H may lack it.  Frattini
 subgroups need p-th powers of generators only, as H/[H, H] is abelian; the
 lower p-series is spanned from the lower central series by p-th powers alone
-(``lower_p_series``).
+(``lower_p_series``).  A quotient G/N is a pc group, ``CosetGroup``, on an
+induced pcgs of G/N: G's generators at the depths where N has no row.
 """
 
 from __future__ import annotations
@@ -522,7 +523,7 @@ class Subgroup:
         row whose support commutes with a's is its own conjugate: neither is
         collected."""
         g, t = self.group, self._tail
-        return all(g.product(g.product(g.inverse(a), x), a) in self
+        return all(g.conjugate(x, a) in self
                    for a in g.pc_generators() for d, x in zip(self.depths, self.rows)
                    if d < t and not g.commuting_supports(x, a))
 
@@ -545,7 +546,6 @@ def span(
     ``group`` is any ``PcGroup``, a quotient G/N (``CosetGroup``) too.
     """
     p, identity = group.p, group.identity()
-    prod, inv = group.product, group.inverse
     conj = [(a, _depth(a)) for a in conj]
     sub = Subgroup(group, list(base._powers) if base else [None] * len(identity))
     # entry (x, a, form, k): the word "x", "x^p", "[x,a]" or "x^a", in H once H's tail is <= k
@@ -556,11 +556,11 @@ def span(
         if sub._tail <= k or a and group.commuting_supports(x, a):
             continue
         if form == "x^p":
-            x = _powers(group, x, p + 1)[-1]
+            x = group.power_p(x)
         elif form == "[x,a]":
-            x = prod(prod(prod(inv(x), inv(a)), x), a)
+            x = group.commutator(x, a)
         elif form == "x^a":
-            x = prod(prod(inv(a), x), a)
+            x = group.conjugate(x, a)
         x = sub.sift(x)
         if x == identity:
             continue
@@ -579,11 +579,10 @@ def span(
 def _conjugates_exceed(group: "PcGroup", seed: list[Element]) -> bool:
     """Whether the conjugates of ``seed`` alone pass the cap: which limit a
     normal closure that passed the cap met first."""
-    pcg = [(a, group.inverse(a)) for a in group.pc_generators()]
     seen = set(seed)
     queue = list(seen)
     for x in queue:
-        for c in (group.product(group.product(a_inv, x), a) for a, a_inv in pcg):
+        for c in (group.conjugate(x, a) for a in group.pc_generators()):
             if c not in seen:
                 if len(seen) >= group.cap:
                     return True
@@ -641,6 +640,11 @@ class PcGroup:
             raise InputError(f"exponents must lie in [0, {self.p}), got {exps}")
         return exps
 
+    def conjugate(self, x: Element, a: Element) -> Element:
+        # x^a = a^-1 x a
+        p = self.product
+        return p(p(self.inverse(a), x), a)
+
     def commutator(self, x: Element, y: Element) -> Element:
         # [x, y] = x^-1 y^-1 x y
         p = self.product
@@ -693,19 +697,23 @@ class PcGroup:
 
     # -- series -------------------------------------------------------------
 
-    def _descending_series(self) -> list[Subgroup]:
-        """G = gamma_1, then gamma_(k+1) = <[x, a]>^G over gamma_k's rows x and pc generators a."""
+    def _descend(self, name: str, seed) -> list[Subgroup]:
+        """G, then the normal closure of ``seed(series)``'s (base, words) after
+        each term, down to 1; a term not below the one before raises."""
         pcg, series = self.pc_generators(), [self.full_subgroup()]
         while series[-1].order > 1:
-            series.append(span(self, [], pcg, words=[(x, a) for x in series[-1].rows for a in pcg]))
+            series.append(span(self, [], pcg, *seed(series)))
             if series[-1].order >= series[-2].order:
-                raise InconsistentPresentationError("lower central series does not descend")
+                raise InconsistentPresentationError(f"{name} does not descend")
         return series
 
     def lower_central_series(self) -> list[Subgroup]:
-        """G = gamma_1 >= gamma_2 = [G, G] >= ... >= 1, built on first use."""
+        """G = gamma_1 >= gamma_2 = [G, G] >= ... >= 1, built on first use:
+        gamma_(k+1) = <[x, a]>^G over gamma_k's rows x and pc generators a."""
         if self._gamma is None:
-            self._gamma = self._descending_series()
+            pcg = self.pc_generators()
+            self._gamma = self._descend("lower central series",
+                                        lambda s: (None, [(x, a) for x in s[-1].rows for a in pcg]))
         return self._gamma
 
     def lower_p_series(self) -> list[Subgroup]:
@@ -715,14 +723,9 @@ class PcGroup:
         P_m's rows: no commutator is needed (README, "Lower p-series from
         p-th powers").
         """
-        gamma, pcg = self.lower_central_series(), self.pc_generators()
-        series = [gamma[0]]
-        while series[-1].order > 1:
-            base = gamma[min(len(series), len(gamma) - 1)]
-            series.append(span(self, [], pcg, base, [(x, None) for x in series[-1].rows]))
-            if series[-1].order >= series[-2].order:
-                raise InconsistentPresentationError("lower p-series does not descend")
-        return series
+        gamma = self.lower_central_series()
+        return self._descend("lower p-series", lambda s: (gamma[min(len(s), len(gamma) - 1)],
+                                                          [(x, None) for x in s[-1].rows]))
 
     def series_equality_check(self) -> dict:
         """Compare the lower central series with the lower p-series levelwise.
@@ -799,6 +802,48 @@ class PcGroup:
             "order": sub.order,
             "min_generators": self.min_generators(sub),
         }
+
+
+class CosetGroup(PcGroup):
+    """Quotient G/N as a pc group on the images of G's generators at the m
+    depths where N has no row, an induced pcgs of G/N (Holt, Eick and
+    O'Brien, ch. 8).  Each relation of G among kept generators gives one of
+    Q: its rhs, sifted through N, at the kept depths.  That presentation is
+    consistent, as G/N satisfies it with p^m normal forms.  Elements are
+    m-tuples: ``project`` maps x in G to its coset's, the least element of
+    xN (zeros at N's depths, which ``N.sift`` clears) read at the kept
+    depths, and ``lift`` writes one back with zeros at N's depths.  The
+    ambient group's cap bounds the quotient and its spans."""
+
+    def __init__(self, group: PcGroup, kernel: Subgroup):
+        if kernel.group is not group:
+            raise InputError("kernel must be a subgroup of the given group")
+        if not kernel.is_normal():
+            raise InputError("kernel must be a normal subgroup")
+        self.ambient, self.kernel = group, kernel
+        self._kept = sorted(set(range(group.pres.n)) - set(kernel.depths))
+        # a_j of G -> the index of its image in Q; 0 -> 0 keeps the power keys
+        index = {0: 0, **{d + 1: k + 1 for k, d in enumerate(self._kept)}}
+        relations = []
+        for (j, i), rhs in group.pres.relations:  # in key order, which the increasing index keeps
+            if j in index and i in index:
+                y = self.project(tuple(dict(rhs).get(k, 0) for k in range(1, group.pres.n + 1)))
+                rhs_q = tuple((k + 1, e) for k, e in enumerate(y) if e)
+                if rhs_q:
+                    relations.append(((index[j], index[i]), rhs_q))
+        super().__init__(PcPresentation(group.p, len(self._kept), tuple(relations)), group.cap,
+                         _checked=True)
+        self._require_cap = group._require_cap  # the ambient cap bounds a listing
+
+    def project(self, x: Element) -> Element:
+        x = self.kernel.sift(x)
+        return tuple(x[d] for d in self._kept)
+
+    def lift(self, y: Element) -> Element:
+        x = [0] * self.ambient.pres.n
+        for d, e in zip(self._kept, y):
+            x[d] = e
+        return tuple(x)
 
 
 # -- builders -------------------------------------------------------------------

@@ -22,6 +22,7 @@ is built only for a value that is printed (an upper break, ratio or bound).
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
@@ -285,17 +286,33 @@ class BreakSequence(Record):
     def flag_at(self, k: int) -> bool:
         return bool(self.flags[k]) if self.flags else False
 
+    def _verdict_fields(self) -> dict:
+        """The verdict half of both wire formats: a JSON object's keys, the CSV trailer."""
+        return {
+            "verdict": self.verdict,
+            "limit_bound": None if self.limit_bound is None else format_rat(self.limit_bound),
+            "certificate": self.certificate,
+            "warnings": list(self.warnings),
+        }
+
     def to_json_dict(self) -> dict:
         return {
             "levels": list(self.levels),
             "lower": [format_rat(t) for t in self.lower],
             "upper": [format_rat(u) for u in self.upper],
-            "verdict": self.verdict,
-            "limit_bound": None if self.limit_bound is None else format_rat(self.limit_bound),
-            "certificate": self.certificate,
             "flags": [bool(f) for f in self.flags] if self.flags else [False] * len(self.upper),
-            "warnings": list(self.warnings),
+            **self._verdict_fields(),
         }
+
+    def to_csv(self) -> str:
+        """CSV rows n,lower_break,upper_break,flag, then the verdict fields as one JSON line."""
+        lines = ["n,lower_break,upper_break,flag"]
+        for k in range(self.horizon):
+            lower = format_rat(self.lower[k]) if self.lower else ""
+            flag = 1 if self.flag_at(k) else 0
+            lines.append(f"{self.levels[k]},{lower},{format_rat(self.upper[k])},{flag}")
+        lines.append(json.dumps(self._verdict_fields(), sort_keys=True))
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "BreakSequence":
@@ -359,12 +376,8 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
     if plan.kind != "apf":
         raise InputError(f"apf_plan needs an apf plan, got kind {plan.kind!r}")
     p, e0, n_max = plan.p, plan.e0, plan.depth
-    if plan.scaling == "scaled":
-        e_i1 = p ** (n_max - 1) * e0
-        e_top = p**n_max * e0
-    else:
-        e_i1 = e0
-        e_top = p * e0
+    e_i1 = plan.step_index(n_max + 1)  # depth N - 1, under step_index's scaling rule
+    e_top = p * e_i1  # depth N
     i1, i = plan.base_i1, plan.base_i
     if not _admissible(i1, p, e_i1, plan.strict):
         raise InfeasiblePlanError(

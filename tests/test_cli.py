@@ -775,6 +775,18 @@ def test_bare_import_loads_no_layer():
     assert not loaded & (_LAYERS | _NOT_AT_START | _ARGPARSE | _RATIONAL)
 
 
+def test_quotient_from_pcgroup_alone_loads_no_rationals():
+    # G/Z(G) of the Heisenberg group: a pc group of order 9, built on integers alone
+    code = ("import json\nfrom ramify.pcgroup import CosetGroup, PcGroup, PcPresentation\n"
+            f"with open({str(_GOLDEN_INPUTS / 'heis3.json')!r}) as fh:\n"
+            "    g = PcGroup(PcPresentation.from_json_dict(json.load(fh)))\n"
+            "q = CosetGroup(g, g.subgroup([g.generator(3)], normal=True))\n"
+            "assert q.order == 9 and q.project((1, 2, 1)) == (1, 2)")
+    loaded = _loaded_by(code)
+    assert "ramify.pcgroup" in loaded
+    assert not loaded & (_RATIONAL | {"ramify.filtration"})
+
+
 # one command per family, with the layers it loads
 _FAMILY_RUNS = pytest.mark.parametrize(
     "argv, layers",
@@ -892,6 +904,7 @@ def test_package_namespace_is_lazy_and_complete():
         home = importlib.import_module(f"ramify.{module}")
         for name in names:
             assert getattr(ramify, name) is getattr(home, name)
+    assert ramify.CosetGroup is importlib.import_module("ramify.pcgroup").CosetGroup
     with pytest.raises(AttributeError):
         ramify.no_such_name
     assert not {m for m in _loaded_by("import ramify") if m.startswith("ramify.")}

@@ -52,6 +52,21 @@ def test_construction_validation():
         RamFiltration(g, {g.generator(1): 2})  # missing values, no default
 
 
+def test_from_json_dict_reads_the_filtration_schema():
+    data = {"group": build_heisenberg(3).to_json_dict(), "default": 2,
+            "ig": [{"element": [0, 1, 0], "value": 5}, {"element": [0, 2, 0], "value": 5}]}
+    rf = RamFiltration.from_json_dict(data, check=False)
+    assert rf.group.pres == build_heisenberg(3)
+    assert rf.ig == RamFiltration(rf.group, {(0, 1, 0): 5, (0, 2, 0): 5}, 2, check=False).ig
+    assert not rf.validate().ok
+    with pytest.raises(InputError, match="is not a normal subgroup"):
+        RamFiltration.from_json_dict(data)
+    with pytest.raises(InputError, match=r"unknown filtration fields: \['extra'\]"):
+        RamFiltration.from_json_dict({**data, "extra": 1})
+    with pytest.raises(CapExceededError):
+        RamFiltration.from_json_dict(data, cap=26)
+
+
 def test_default_fills_missing():
     g = PcGroup(build_heisenberg(3))
     center = {x for x in g.elements() if x[0] == 0 and x[1] == 0}

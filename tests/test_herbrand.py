@@ -244,6 +244,21 @@ def test_tower_upper_breaks_match_tower_psi_and_step_fold(schedule, p):
         assert upper_breaks_of(schedule, p) == expected
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
+       st.sampled_from([2, 3, 5]))
+def test_non_increasing_break_quotes_the_inverse_of_the_tower_below(steps, p):
+    # every t up to the last break, each on its own segment of the tower's inverse
+    prefix = list(itertools.accumulate(steps))
+    last = tower_upper_breaks(prefix, p)[-1]
+    for t in range(1, prefix[-1] + 1):
+        upper = invert(tower_psi(prefix, p)).eval(t)
+        with pytest.raises(InputError) as info:
+            tower_upper_breaks(prefix + [t], p)
+        assert str(info.value) == (f"non-increasing filtration: upper break {upper} "
+                                   f"does not exceed {last}")
+
+
 # -- compose and eval against the pointwise forms --------------------------------
 
 

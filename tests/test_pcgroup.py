@@ -100,6 +100,8 @@ def test_collection_fixtures():
     assert g.commutator(a2, a1) == a3
     assert g.commutator(a1, a1) == g.identity()
     assert g.power_p(a1) == g.identity()
+    assert g.conjugate(a1, a2) == (1, 0, 2)  # a2^-1 a1 a2 = a1 [a1, a2] = a1 a3^-1
+    assert g.conjugate(a3, a1) == a3
 
 
 def test_order_and_elements():

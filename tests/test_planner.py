@@ -27,7 +27,7 @@ from ramify import (
     tower_upper_breaks,
     verdict,
 )
-from ramify.cli import _seq_csv, main
+from ramify.cli import main
 from ramify.herbrand import invert, psi_step
 from ramify.planner import _dominating_apf_tail
 
@@ -611,7 +611,7 @@ def _assert_same_outcome(fn, reference, plan):
     assert got == want
     if isinstance(want, BreakSequence):
         assert got.to_json_dict() == want.to_json_dict()
-        assert _seq_csv(got) == _seq_csv(want)
+        assert got.to_csv() == want.to_csv()
 
 
 _primes = st.sampled_from([2, 3, 5, 7])
