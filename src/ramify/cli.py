@@ -7,7 +7,8 @@ Output is deterministic: keys sorted, element lists sorted, rationals as
 overrides the group enumeration cap.
 """
 # Argv, dispatch, output plumbing and exit codes only: each type reads and writes
-# its own wire format.  The docstring above is the --help description, byte for byte.
+# its own wire format, and each layer name resolves on first use (see _layers).
+# The docstring above is the --help description, byte for byte.
 
 from __future__ import annotations
 
@@ -28,33 +29,19 @@ from .errors import (
 
 __all__ = ["main"]
 
-# The layer names each command family calls.  Importing this module loads no
-# layer, nor fractions: main binds a family's names on its first command,
-# through the lazy package namespace, which knows each name's home module.
-_FAMILY_NAMES = {
-    "herbrand": ("PLFunc", "compose", "invert", "psi_step", "format_rat", "parse_rat"),
-    "group": ("DEFAULT_CAP", "PcGroup", "PcPresentation", "consistency_check"),
-    "filtration": ("DEFAULT_CAP", "RamFiltration", "quotient_filtration", "format_rat",
-                   "parse_rat"),
-    "plan": ("TowerPlan", "break_triple_feasible", "cyclic_break_admissible", "evaluate_plan"),
-    "merge": ("BreakSequence", "compositum_merge", "repair_merge"),
-}
-_LAYER_NAMES = {name for names in _FAMILY_NAMES.values() for name in names}
+# Handlers read each layer name as an attribute of this module (``_layers.PcGroup``),
+# so importing it loads no layer, nor fractions: a family loads only the layers whose
+# names it reads.  A name set here first (a patch, a wrapper) is the one called.
+_layers = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """Resolve a layer name on first access and keep it bound here (PEP 562)."""
-    if name not in _LAYER_NAMES:
+    """Resolve a public package name on first access and keep it bound here (PEP 562)."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(sys.modules[__package__], name)
+    value = globals()[name] = getattr(package, name)
     return value
-
-
-def _bind(command: str) -> None:
-    """Bind the names ``command`` calls, keeping any already set here (a patch, a wrapper)."""
-    for name in _FAMILY_NAMES[command]:
-        if name not in globals():
-            __getattr__(name)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +51,7 @@ def _bind(command: str) -> None:
 def _cap() -> int:
     raw = os.environ.get("RAMIFY_CAP")
     if raw is None:
-        return DEFAULT_CAP
+        return _layers.DEFAULT_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -135,20 +122,21 @@ def _seq_output(seq: BreakSequence, fmt: str, out_path: str | None) -> None:
 
 def _cmd_herbrand(args) -> int:
     if args.action == "step":
-        func = psi_step(args.brk, args.p)
+        func = _layers.psi_step(args.brk, args.p)
     elif args.action == "compose":
         data = _read_json(args.file)
         if not isinstance(data, dict) or not {"outer", "inner"} <= set(data):
             raise InputError('compose input needs "outer" and "inner" functions')
         reject_unknown(data, ("outer", "inner"), "compose")
-        func = compose(PLFunc.from_json_dict(data["outer"]), PLFunc.from_json_dict(data["inner"]))
+        func = _layers.compose(_layers.PLFunc.from_json_dict(data["outer"]),
+                               _layers.PLFunc.from_json_dict(data["inner"]))
     elif args.action == "invert":
-        func = invert(PLFunc.from_json_dict(_read_json(args.file)))
+        func = _layers.invert(_layers.PLFunc.from_json_dict(_read_json(args.file)))
     else:  # eval
-        func = PLFunc.from_json_dict(_read_json(args.file))
+        func = _layers.PLFunc.from_json_dict(_read_json(args.file))
     at = args.at if args.action == "eval" else args.eval
     if at is not None:
-        _emit_json({"value": format_rat(func.eval(parse_rat(at)))}, args.out)
+        _emit_json({"value": _layers.format_rat(func.eval(_layers.parse_rat(at)))}, args.out)
     else:
         _emit_json(func.to_json_dict(), args.out)
     return 0
@@ -161,9 +149,9 @@ def _cmd_herbrand(args) -> int:
 def _cmd_group(args) -> int:
     cap = _cap()
     data = _read_json(args.file)
-    pres = PcPresentation.from_json_dict(data)
+    pres = _layers.PcPresentation.from_json_dict(data)
     if args.action == "check":
-        result = consistency_check(pres, exhaustive=args.exhaustive or None, cap=cap)
+        result = _layers.consistency_check(pres, exhaustive=args.exhaustive or None, cap=cap)
         if not result.ok:
             out = {
                 "consistent": False,
@@ -174,11 +162,11 @@ def _cmd_group(args) -> int:
             return 3
         out = {"consistent": True, "p": pres.p, "n": pres.n, "order": pres.order}
         if args.series:
-            group = PcGroup(pres, cap=cap, _checked=True)
+            group = _layers.PcGroup(pres, cap=cap, _checked=True)
             out["series"] = group.series_equality_check()
         _emit_json(out, args.out)
         return 0
-    group = PcGroup(pres, cap=cap)
+    group = _layers.PcGroup(pres, cap=cap)
     if args.action == "closure":
         gens = _elements_arg(group, args.gens, "--gens")
         _emit_json(_subgroup_json(group.subgroup(gens, normal=args.normal)), args.out)
@@ -216,27 +204,27 @@ def _cmd_filtration(args) -> int:
     cap = _cap()
     data = _read_json(args.file)
     if args.action == "validate":
-        rf = RamFiltration.from_json_dict(data, cap, check=False)
+        rf = _layers.RamFiltration.from_json_dict(data, cap, check=False)
         report = rf.validate()
         out = {"ok": True}
         if not report.ok:
-            out = {"ok": False, "level": format_rat(report.level), "reason": report.reason,
+            out = {"ok": False, "level": _layers.format_rat(report.level), "reason": report.reason,
                    "witness": [list(w) for w in report.witness]}
         _emit_json(out, args.out)
         return 0
-    rf = RamFiltration.from_json_dict(data, cap)
+    rf = _layers.RamFiltration.from_json_dict(data, cap)
     if args.action == "herbrand":
         _emit_json(rf.herbrand_func().to_json_dict(), args.out)
     elif args.action == "upper":
-        _emit_json(_subgroup_json(rf.upper_level(parse_rat(args.at))), args.out)
+        _emit_json(_subgroup_json(rf.upper_level(_layers.parse_rat(args.at))), args.out)
     else:  # quotient
         seed = _elements_arg(rf.group, args.kernel, "--kernel")
         kernel = rf.group.subgroup(seed, normal=True)
-        quot = quotient_filtration(rf, kernel)
-        ig_rows = [{"element": list(quot.group.lift(x)), "value": format_rat(v)}
+        quot = _layers.quotient_filtration(rf, kernel)
+        ig_rows = [{"element": list(quot.group.lift(x)), "value": _layers.format_rat(v)}
                    for x, v in sorted(quot.ig.items())]
         _emit_json({"order": quot.group.order, "ig": ig_rows,
-                    "upper_breaks": [format_rat(u) for u in quot.upper_breaks()]}, args.out)
+                    "upper_breaks": [_layers.format_rat(u) for u in quot.upper_breaks()]}, args.out)
     return 0
 
 
@@ -245,17 +233,16 @@ def _cmd_filtration(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _evaluate_plan_dict(data) -> BreakSequence:
-    _bind("plan")  # a spawned pool worker starts from a bare import of this module
-    return evaluate_plan(TowerPlan.from_json_dict(data))
+    return _layers.evaluate_plan(_layers.TowerPlan.from_json_dict(data))
 
 
 def _cmd_plan(args) -> int:
     if args.action == "feasible":
-        result = break_triple_feasible(args.i, args.j, args.s, args.p, args.e)
+        result = _layers.break_triple_feasible(args.i, args.j, args.s, args.p, args.e)
         _emit_json({"feasible": result.ok, "reason": result.reason}, args.out)
         return 0 if result.ok else 2
     if args.action == "admissible":
-        ok = cyclic_break_admissible(args.j, args.p, args.e, strict=not args.bound_only)
+        ok = _layers.cyclic_break_admissible(args.j, args.p, args.e, strict=not args.bound_only)
         _emit_json({"admissible": ok}, args.out)
         return 0 if ok else 2
     # run
@@ -299,16 +286,16 @@ def _cmd_merge(args) -> int:
         if not isinstance(raw, list) or not raw:
             raise InputError('merge max input needs a nonempty "sequences" list')
         reject_unknown(data, ("sequences",), "merge")
-        merged = compositum_merge([BreakSequence.from_json_dict(s) for s in raw])
+        merged = _layers.compositum_merge([_layers.BreakSequence.from_json_dict(s) for s in raw])
     else:  # repair
         if not {"base", "family"} <= set(data):
             raise InputError('merge repair input needs "base" and "family"')
         reject_unknown(data, ("base", "family"), "merge")
-        base = BreakSequence.from_json_dict(data["base"])
+        base = _layers.BreakSequence.from_json_dict(data["base"])
         family = data["family"]
         if not isinstance(family, list):
             raise InputError('"family" must be a list of rationals')
-        merged = repair_merge(base, family)
+        merged = _layers.repair_merge(base, family)
     _seq_output(merged, args.format, args.out)
     return 0
 
@@ -450,7 +437,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _scan(argv) or build_parser().parse_args(argv)
-        _bind(args.command)
         return _COMMANDS[args.command][0](args)
     except InputError as exc:
         return _fail("malformed-input", exc, 1)
