@@ -576,19 +576,28 @@ def span(
     return sub
 
 
-def _conjugates_exceed(group: "PcGroup", seed: list[Element]) -> bool:
-    """Whether the conjugates of ``seed`` alone pass the cap: which limit a
-    normal closure that passed the cap met first."""
-    seen = set(seed)
-    queue = list(seen)
-    for x in queue:
-        for c in (group.conjugate(x, a) for a in group.pc_generators()):
-            if c not in seen:
-                if len(seen) >= group.cap:
-                    return True
-                seen.add(c)
-                queue.append(c)
-    return False
+def _conjugacy_class(group: "PcGroup", x: Element) -> tuple[Element, int]:
+    """A canonical element of x's class and the class size |G : C_G(x)|.
+
+    G_d = <a_d, ..., a_n> is central with factors of order p, so
+    C_d = {c : [x, c] in G_d} is held by rows modulo G_d, in increasing depth,
+    and c -> (exponent of [x, c] at depth d) is additive on C_d and zero on
+    G_d.  Its kernel is C_(d+1): the deepest row r of value v != 0 goes, each
+    other row is made 0 by a power of r, and conjugating x by a power of r
+    clears depth d, the same for every element of the class.
+    """
+    p, size, rows = group.p, 1, []
+    for d, a in enumerate(group.pc_generators()):
+        values = [group.commutator(x, c)[d] for c in rows]
+        hit = max((i for i, v in enumerate(values) if v), default=None)
+        if hit is not None:
+            r, inv = rows.pop(hit), pow(values.pop(hit), -1, p)
+            powers = _powers(group, r, p)
+            rows = [group.product(s, powers[-w * inv % p]) for s, w in zip(rows, values)]
+            x = group.conjugate(x, powers[-x[d] * inv % p])
+            size *= p
+        rows.append(a)
+    return x, size
 
 
 class PcGroup:
@@ -678,7 +687,10 @@ class PcGroup:
         try:
             return span(self, gens, self.pc_generators())
         except CapExceededError:
-            if _conjugates_exceed(self, gens):
+            # which limit the closure met first: the seed's conjugates alone pass
+            # the cap exactly when their classes, summed once each, do
+            classes = dict(_conjugacy_class(self, x) for x in gens)
+            if sum(classes.values()) > max(self.cap, len(set(gens))):
                 raise CapExceededError("normal closure exceeds enumeration cap") from None
             raise
 

@@ -23,7 +23,7 @@ from ramify import (
     shipped_truncations,
 )
 from ramify.cli import main
-from ramify.pcgroup import _Collector, _overlap_triples, _weights, span
+from ramify.pcgroup import _Collector, _conjugacy_class, _overlap_triples, _weights, span
 
 
 def _heis(p):
@@ -42,6 +42,14 @@ def test_presentation_validation():
         PcPresentation.build(2, 2, comm={(1, 2): {}})  # needs j > i
     with pytest.raises(InputError):
         PcPresentation.build(2, 2, power={1: {1: 1}})  # rhs not above j
+    pres = build_heisenberg(3)
+    for lookup, what in [(lambda: pres.comm_rhs(1, 2), "commutator pair (1, 2)"),
+                         (lambda: pres.comm_rhs(4, 1), "commutator pair (4, 1)"),
+                         (lambda: pres.generator(0), "generator index 0"),
+                         (lambda: pres.generator(4), "generator index 4")]:
+        with pytest.raises(InputError) as exc:
+            lookup()
+        assert str(exc.value) == f"{what} out of range"
 
 
 def test_presentation_json_round_trip():
@@ -113,6 +121,8 @@ def test_order_and_elements():
         g.element((1, 2))  # wrong arity
     with pytest.raises(InputError):
         g.element((3, 0, 0))  # exponent out of range
+    with pytest.raises(InputError, match=r"^element must be a list of exponents, got '100'$"):
+        g.element("100")
 
 
 def test_element_length_and_sentinel():
@@ -762,6 +772,58 @@ def test_series_collect_from_generators_only():
     assert len(g._coll._cache) - before == 43
 
 
+# class 3, where a class needs more than one depth to descend, and class 2 with
+# two rows of one value at a depth, the second made 0 by a power of the first
+@example(case=(PcGroup(build_tower_truncation(3, 4)), [(1, 0, 0, 0), (0, 1, 1, 0)], False))
+@example(case=(_class2_order_3_8(), [(0, 0, 1, 1, 0, 0, 0, 0), (1, 2, 0, 0, 0, 1, 0, 0)], False))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_consistent_groups_with_gens())
+def test_cap_message_matches_listed_conjugates(case):
+    g, gens, _ = case
+    pcg = g.pc_generators()
+    central = g.lower_central_series()[-2].rows[-1]  # in the last nontrivial term
+    # conjugate, repeated and central elements beside the drawn ones
+    seed = gens + [central] + [g.conjugate(x, pcg[-1 - k]) for k, x in enumerate(gens[:1])]
+    seed += gens[:1]
+    for x in set(seed):
+        listed = _ref_conjugates(g, [x], pcg)
+        canonical, size = _conjugacy_class(g, x)
+        assert size == len(listed) and canonical in listed
+        assert {_conjugacy_class(g, y)[0] for y in listed} == {canonical}
+    # the rule the listing applied: the conjugates pass max(cap, distinct seed elements)
+    conjugates, distinct = len(_ref_conjugates(g, seed, pcg)), len(set(seed))
+    closure = len(_ref_normal_closure(g, seed))
+    for cap in {1, 2, distinct - 1, distinct, conjugates - 1, conjugates, closure - 1}:
+        if not 1 <= cap < closure:
+            continue
+        with pytest.raises(CapExceededError) as exc:
+            PcGroup(g.pres, cap=cap, _checked=True).subgroup(seed, normal=True)
+        which = "normal" if conjugates > max(cap, distinct) else "subgroup"
+        assert str(exc.value) == f"{which} closure exceeds enumeration cap"
+
+
+def test_cap_message_at_the_default_cap_is_fast_and_small(tmp_path, capsys, monkeypatch):
+    # a_1 of this class-2 group on 43 generators has 2^21 conjugates; listing
+    # them up to the default cap did not finish in 300 s
+    k = 21
+    data = {"p": 2, "n": 2 * k + 1,
+            "comm": [{"j": j, "i": 1, "rhs": {str(j + k): 1}} for j in range(2, k + 2)]}
+    path = tmp_path / "class2_43.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.delenv("RAMIFY_CAP", raising=False)
+    argv = ["group", "closure", "--file", str(path), "--gens", json.dumps([[1] + [0] * 2 * k]),
+            "--normal"]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and "normal closure exceeds enumeration cap" in capsys.readouterr().err
+    assert elapsed < 1 and peak < 64 * 2**20
+
+
 # -- induced pcgs: sifting against the element sets ------------------------------
 
 
@@ -921,6 +983,9 @@ def test_quotients_of_heisenberg_times_c3_multiply_as_ambient():
     assert diagonal.rows == ((0, 0, 1, 1),)
     for kernel in (diagonal, g.trivial_subgroup(), g.full_subgroup()):
         _assert_quotient_multiplies_as_ambient(CosetGroup(g, kernel))
+    # the kernel of the same presentation loaded again belongs to another group
+    with pytest.raises(InputError, match="^kernel must be a subgroup of the given group$"):
+        CosetGroup(g, PcGroup(g.pres).trivial_subgroup())
 
 
 def _is_normal_unskipped(sub):
