@@ -20,9 +20,10 @@ _RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def format_rat(value: Fraction) -> str:
-    """Serialize a rational as "num" or "num/den" (reduced, den > 0); an int builds no Fraction."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+    """Serialize an int or a Fraction as "num" or "num/den" (reduced, den > 0); a float,
+    a bool or any other value is not a rational."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"not a rational: {value!r}")
     try:
         if value.denominator == 1:
             return str(value.numerator)
