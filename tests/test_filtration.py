@@ -75,6 +75,8 @@ def test_default_fills_missing():
     assert rf.value_of(g.generator(3)) == 5
     assert rf.distinct_values() == [2, 5]
     assert rf.value_of(g.identity()) is None  # identity sits above every level
+    with pytest.raises(InputError, match=r"^element \(0, 0, 3\) does not belong to the group$"):
+        rf.value_of((0, 0, 3))
 
 
 def test_level_sets_standard_profile():

@@ -100,6 +100,8 @@ def test_invert_fixtures():
     assert invert(psi_step(2, 3)).eval(8) == 4
     f = compose(psi_step(5, 2), psi_step(1, 2))
     assert invert(invert(f)) == f
+    with pytest.raises(InputError, match="^invert expects a piecewise-linear function$"):
+        invert(f.to_json_dict())
 
 
 def test_tower_psi_fixtures():

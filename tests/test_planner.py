@@ -88,6 +88,10 @@ def test_plan_validation():
         TowerPlan("nonapf", 2, 2)  # empty schedule
     with pytest.raises(InputError):
         TowerPlan("apf", 2, 2, depth=3, base_i1=5, base_i=16)  # missing eps
+    with pytest.raises(InputError, match="^strict must be a boolean$"):
+        TowerPlan("nonapf", 2, 2, schedule=(1, 3), strict=1)
+    with pytest.raises(InputError, match=r"^eps is indexed from the u_5 step \(k >= 2\), got k = 1$"):
+        TowerPlan("apf", 2, 2, depth=3, eps=(1,), base_i1=5, base_i=16).eps_at(1)
 
 
 def test_plan_json_round_trip():
@@ -124,6 +128,10 @@ def test_break_sequence_round_trip():
     assert [back.flag_at(k) for k in range(2)] == [seq.flag_at(k) for k in range(2)]
     with pytest.raises(InputError):
         BreakSequence((1,), (), (F(1), F(2)))
+    with pytest.raises(InputError, match="^lower breaks must be empty or match the horizon$"):
+        BreakSequence((1, 2), (F(1),), (F(1), F(2)))
+    with pytest.raises(InputError, match="^flags must be empty or match the horizon$"):
+        BreakSequence((1, 2), (), (F(1), F(2)), flags=(True,))
     # a bound that the sequence's own breaks exceed certifies nothing
     data["limit_bound"] = "3/2"
     with pytest.raises(InputError, match=r"limit_bound 3/2 is below upper\[1\] = 2"):
@@ -158,6 +166,8 @@ def test_apf_single_step():
     seq = apf_plan(plan)
     assert seq.upper == (F(8, 3),)
     assert seq.levels == (3,)
+    with pytest.raises(InputError, match="^apf_plan needs an apf plan, got kind 'nonapf'$"):
+        apf_plan(TowerPlan("nonapf", 2, 2, schedule=(1, 3)))
 
 
 def test_apf_two_and_three_levels():
@@ -246,6 +256,8 @@ def test_nonapf_odd_schedule():
     assert seq.upper == tuple(F(3) - F(2) ** (2 - n) for n in range(1, 21))
     assert seq.verdict == "non-APF"
     assert seq.limit_bound == F(3)
+    with pytest.raises(InputError, match="^nonapf_plan needs a schedule plan, got kind 'apf'$"):
+        nonapf_plan(TowerPlan("apf", 3, 2, depth=1, base_i1=2, base_i=4))
 
 
 @pytest.mark.parametrize(
@@ -339,6 +351,8 @@ def test_merge_single_input_identity():
 def test_merge_horizon_mismatch():
     with pytest.raises(InputError):
         compositum_merge([_seq([1, 2]), _seq([1, 2, 3])])
+    with pytest.raises(InputError, match="^compositum_merge needs at least one sequence$"):
+        compositum_merge([])
 
 
 def test_merge_apf_dominating_tail():
