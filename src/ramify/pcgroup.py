@@ -687,8 +687,8 @@ class PcGroup:
         try:
             return span(self, gens, self.pc_generators())
         except CapExceededError:
-            # which limit the closure met first: the seed's conjugates alone pass
-            # the cap exactly when their classes, summed once each, do
+            # which limit the closure met first: whether the seed's conjugates, the
+            # sizes of its distinct classes summed, pass max(cap, distinct seed elements)
             classes = dict(_conjugacy_class(self, x) for x in gens)
             if sum(classes.values()) > max(self.cap, len(set(gens))):
                 raise CapExceededError("normal closure exceeds enumeration cap") from None

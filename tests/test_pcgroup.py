@@ -783,8 +783,7 @@ def test_cap_message_matches_listed_conjugates(case):
     pcg = g.pc_generators()
     central = g.lower_central_series()[-2].rows[-1]  # in the last nontrivial term
     # conjugate, repeated and central elements beside the drawn ones
-    seed = gens + [central] + [g.conjugate(x, pcg[-1 - k]) for k, x in enumerate(gens[:1])]
-    seed += gens[:1]
+    seed = gens + [central] + [g.conjugate(x, pcg[0]) for x in gens[:1]] + gens[:1]
     for x in set(seed):
         listed = _ref_conjugates(g, [x], pcg)
         canonical, size = _conjugacy_class(g, x)
