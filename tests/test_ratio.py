@@ -21,9 +21,14 @@ def test_format_fixtures():
     assert format_rat(0) == "0"
 
 
-@pytest.mark.parametrize("n", [0, 1, -1, -12, 10**40, -(10**40)])
+@pytest.mark.parametrize("n", [0, 1, -1, -12, 10**40, -(10**40), True, False])
 def test_format_int_matches_fraction(n):
-    assert format_rat(n) == format_rat(F(n))
+    if isinstance(n, bool):  # Fraction(True) is 1, but a bool is not a rational to format_rat
+        assert format_rat(F(n)) == str(int(n))
+        with pytest.raises(InputError, match=f"^not a rational: {n!r}$"):
+            format_rat(n)
+    else:
+        assert format_rat(n) == format_rat(F(n))
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
