@@ -98,11 +98,11 @@ def _emit_json(obj, out_path: str | None) -> None:
     _emit(text + "\n", out_path)
 
 
-def _elements_arg(group, text: str, flag: str) -> list:
+def _elements_arg(text: str, flag: str) -> list:
     raw = _parse_json_arg(text, flag)
     if not isinstance(raw, list):
         raise InputError(f"{flag} must be a JSON list of exponent vectors")
-    return [group.element(g) for g in raw]
+    return raw
 
 
 def _subgroup_json(sub) -> dict:
@@ -168,7 +168,7 @@ def _cmd_group(args) -> int:
         return 0
     group = _layers.PcGroup(pres, cap=cap)
     if args.action == "closure":
-        gens = _elements_arg(group, args.gens, "--gens")
+        gens = _elements_arg(args.gens, "--gens")
         _emit_json(_subgroup_json(group.subgroup(gens, normal=args.normal)), args.out)
     elif args.action == "series":
         _emit_json(group.series_equality_check(), args.out)
@@ -218,7 +218,7 @@ def _cmd_filtration(args) -> int:
     elif args.action == "upper":
         _emit_json(_subgroup_json(rf.upper_level(_layers.parse_rat(args.at))), args.out)
     else:  # quotient
-        seed = _elements_arg(rf.group, args.kernel, "--kernel")
+        seed = _elements_arg(args.kernel, "--kernel")
         kernel = rf.group.subgroup(seed, normal=True)
         quot = _layers.quotient_filtration(rf, kernel)
         ig_rows = [{"element": list(quot.group.lift(x)), "value": _layers.format_rat(v)}

@@ -26,7 +26,7 @@ from .errors import InputError, is_int, reject_unknown
 from .herbrand import PLFunc, identity_func, invert  # noqa: F401
 from .pcgroup import DEFAULT_CAP, CosetGroup, Element, PcGroup, PcPresentation, Subgroup, span
 from .ratio import parse_rat
-from .record import Record
+from .record import Result
 
 
 def _level(raw, parsed: dict):
@@ -38,14 +38,11 @@ def _level(raw, parsed: dict):
     return parsed[key]
 
 
-class ValidationReport(Record):
+class ValidationReport(Result):
     ok: bool
     level: int | Fraction | None = None
     witness: tuple | None = None
     reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class RamFiltration:
@@ -135,6 +132,7 @@ class RamFiltration:
         v increasing, valid by construction: nothing is listed, spanned or checked."""
         rf = cls.__new__(cls)
         rf.group, rf.ig, rf.levels = group, ig, levels
+        rf._listed, rf._fill = ig, None  # ig holds every element: no default is left
         return rf
 
     def _unlisted(self):
@@ -149,11 +147,11 @@ class RamFiltration:
     # -- level sets -------------------------------------------------------
 
     def value_of(self, x: Element):
-        """Break value of x; None for the identity (above every level)."""
+        """Break value of x, read without listing G; None for the identity (above every level)."""
         x = tuple(x)
         if x not in self.group:
             raise InputError(f"element {x} does not belong to the group")
-        return None if x == self.group.identity() else self.ig[x]
+        return None if x == self.group.identity() else self._listed.get(x, self._fill)
 
     def distinct_values(self) -> list[Fraction]:
         return [v for v, _, _ in self.levels]

@@ -40,7 +40,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (CapExceededError, InconsistentPresentationError, InputError, is_int,
                      reject_unknown, require_posint, require_prime)
-from .record import Record
+from .record import Record, Result
 
 
 Element = tuple[int, ...]
@@ -72,9 +72,6 @@ class PcPresentation(Record):
     n: int
     relations: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_key", dict(self.relations))
-
     @classmethod
     def build(
         cls,
@@ -105,12 +102,12 @@ class PcPresentation(Record):
         return cls(p, n, tuple((key, rhs) for key, rhs in sorted(rows.items()) if rhs))
 
     def power_rhs(self, j: int) -> tuple[tuple[int, int], ...]:
-        return self._by_key.get((j, 0), ())
+        return dict(self.relations).get((j, 0), ())
 
     def comm_rhs(self, j: int, i: int) -> tuple[tuple[int, int], ...]:
         if not 1 <= i < j <= self.n:
             raise InputError(f"commutator pair ({j}, {i}) out of range")
-        return self._by_key.get((j, i), ())
+        return dict(self.relations).get((j, i), ())
 
     @property
     def order(self) -> int:
@@ -283,30 +280,27 @@ class _Collector:
         return cached
 
     def inverse(self, x: Element) -> Element:
-        # kill coordinates left to right: right-multiplying by a_k^(p - e)
-        # only touches coordinates >= k
+        # kill coordinates left to right: right-multiplying by a_k^(p - e) only touches
+        # coordinates >= k; the steps a_k^e, k increasing, are x^-1 as a normal form
         cached = self._inv_cache.get(x)
         if cached is None:
             p, n = self.pres.p, self.pres.n
-            acc = cached = x  # acc is x until the first step; x = 1 if none is taken
+            acc, steps = x, [0] * n
             for k in range(n):
                 if acc[k]:
-                    step = tuple(p - acc[k] if j == k else 0 for j in range(n))
-                    cached = step if acc is x else self.product(cached, step)  # 1 step = step
-                    acc = self.product(acc, step)
+                    steps[k] = p - acc[k]
+                    acc = self.product(acc, tuple(steps[k] if j == k else 0 for j in range(n)))
+            cached = tuple(steps)
             if len(self._inv_cache) >= _CACHE_LIMIT:
                 self._inv_cache.clear()
             self._inv_cache[x] = cached
         return cached
 
 
-class ConsistencyResult(Record):
+class ConsistencyResult(Result):
     ok: bool
     witness: tuple[Element, Element, Element] | None = None
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _weights(pres: PcPresentation) -> list[int]:

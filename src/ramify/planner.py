@@ -31,7 +31,7 @@ from .errors import InfeasiblePlanError, InputError, is_int, require_posint, req
 # span recorder (bench/spans.py) wraps planner.psi_step and planner.tower_psi
 from .herbrand import psi_step, tower_psi, upper_breaks_of  # noqa: F401
 from .ratio import format_rat, parse_rat
-from .record import Record
+from .record import Record, Result
 
 
 VERDICT_APF = "APF"
@@ -66,12 +66,9 @@ def _admissible(j: int, p: int, e: int, strict: bool) -> bool:
     return scaled == bound or scaled < bound and not (strict and j % p == 0)
 
 
-class FeasibilityResult(Record):
+class FeasibilityResult(Result):
     ok: bool
     reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def break_triple_feasible(i: int, j: int, s: int, p: int, e: int) -> FeasibilityResult:
@@ -437,15 +434,12 @@ def apf_plan(plan: TowerPlan) -> BreakSequence:
     )
 
 
-class ClosedFormReport(Record):
+class ClosedFormReport(Result):
     ok: bool
     fail_level: int | None
     v: tuple
     v_diffs: tuple
     cauchy_ok: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def closed_form_check(seq: BreakSequence, plan: TowerPlan) -> ClosedFormReport:
@@ -453,7 +447,8 @@ def closed_form_check(seq: BreakSequence, plan: TowerPlan) -> ClosedFormReport:
 
     Scaled plans use the expanded form
         u_{2n+1} = (n-1)*e0 - (p-1)/p * sum_m eps_{2(n-m)+1}/p^m + u_3/p^(n-1);
-    flat plans expand the recursion geometrically.  Also emits
+    flat plans expand the recursion geometrically: the same sum over step
+    breaks i_1(2(n-m)+1) in place of eps, added, with no (n-1)*e0.  Also emits
     v_n = (n-1)*e0 - u_{2n+1} and checks the Cauchy property: consecutive
     v-differences shrink in absolute value by a factor of at least p.
     """
@@ -465,17 +460,13 @@ def closed_form_check(seq: BreakSequence, plan: TowerPlan) -> ClosedFormReport:
         raise InputError("empty break sequence")
     u3 = seq.upper[0]
     ok, fail_level = True, None
+    term, sign, slope = ((plan.eps_at, -1, e0) if plan.scaling == "scaled"
+                         else (plan.step_break, 1, 0))
     for n in range(2, n_max + 1):
-        if plan.scaling == "scaled":
-            acc = Fraction(0)
-            for m in range(0, n - 1):
-                acc += Fraction(plan.eps_at(n - m), p**m)
-            cf = (n - 1) * e0 - Fraction(p - 1, p) * acc + u3 / Fraction(p ** (n - 1))
-        else:
-            acc = Fraction(0)
-            for m in range(0, n - 1):
-                acc += Fraction(plan.step_break(n - m), p**m)
-            cf = Fraction(p - 1, p) * acc + u3 / Fraction(p ** (n - 1))
+        acc = Fraction(0)
+        for m in range(0, n - 1):
+            acc += Fraction(term(n - m), p**m)
+        cf = (n - 1) * slope + sign * Fraction(p - 1, p) * acc + u3 / Fraction(p ** (n - 1))
         if cf != seq.upper[n - 1]:
             ok, fail_level = False, n
             break

@@ -4,7 +4,8 @@ A subclass lists its fields as annotated class attributes, in order; a class
 value is that field's default.  ``__init__`` takes the fields by position or
 keyword, then calls ``__post_init__``, which may check and normalize them
 through ``object.__setattr__``.  Equality, hashing and repr go by the fields,
-and assigning to a field raises AttributeError.
+and assigning to a field raises AttributeError.  A ``Result`` is a record
+whose truth value is its field ``ok``, which each subclass lists.
 
 The package uses this instead of ``dataclasses``, whose import also loads
 ``inspect``, ``ast`` and ``dis``: about 0.8 MB of Python heap on CPython
@@ -63,3 +64,8 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class Result(Record):
+    def __bool__(self) -> bool:
+        return self.ok

@@ -101,6 +101,10 @@ def test_malformed_flag_exits_one(capsys):
     code, _, err = run_cli(["herbrand", "eval", "--file", "/nonexistent", "--at", "1"], capsys)
     assert code == 1
     assert "cannot read" in json.loads(err)["error"]
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        # past the digit limit of text-to-int conversion: the scanner defers, argparse refuses
+        code, out, err = run_cli(["herbrand", "step", "--break", _HUGE, "--p", "2"], capsys)
+        assert (code, out, json.loads(err)["code"]) == (1, "", "malformed-input")
 
 
 # -- group --------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ramify import (
     consistency_check,
     shipped_truncations,
 )
+from ramify import pcgroup
 from ramify.cli import main
 from ramify.pcgroup import _Collector, _conjugacy_class, _overlap_triples, _weights, span
 
@@ -590,6 +591,7 @@ def test_subgroup_equality_by_elements():
     assert g.subgroup([a1, a2]) == g.subgroup([a2, a1])
     assert g.normal_closure([a2]) == g.subgroup([a2, a3])
     assert g.subgroup([a1]) != g.subgroup([a2])
+    assert (g.trivial_subgroup() == 1) is False
 
 
 def _ref_closure(g, seed):
@@ -1189,6 +1191,70 @@ def test_collection_step_limit(monkeypatch, tmp_path, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {"code": "cap-exceeded",
                                         "error": "collection step limit exceeded"}
+
+
+def _collect_row_words(g, rows):
+    """Collect each row's p-th power and its conjugate by every pc generator."""
+    for x in rows:
+        g.power_p(x)
+        for a in g.pc_generators():
+            g.conjugate(x, a)
+
+
+@st.composite
+def _closures_past_a_lowered_step_limit(draw):
+    """A group of order p^4, p in {3, 5}, seeds and a step limit in 5-10 at which
+    the seeds' normal closure finishes, while collecting every p-th power and
+    pc-generator conjugate of its rows passes that limit.  Searched from a drawn
+    seed; each try collects on a fresh collector, so no cached product hides one.
+    About one try in twenty gives such a closure while span drops words."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(400):
+        p, n = rng.choice([3, 5]), 4
+
+        def rhs(j):
+            if j == n or rng.random() < 0.5:
+                return {}
+            return {k: rng.randint(1, p - 1) for k in range(j + 1, n + 1) if rng.random() < 0.5}
+
+        power = {j: rhs(j) for j in range(1, n + 1)}
+        comm = {(j, i): rhs(j) for j in range(2, n + 1) for i in range(1, j)}
+        pres = PcPresentation.build(p, n, power, comm)
+        if not consistency_check(pres).ok:
+            continue
+        gens = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+        with pytest.MonkeyPatch.context() as mp:
+            for limit in range(5, 11):
+                mp.setattr(pcgroup, "_MAX_COLLECT_STEPS", limit)
+                try:
+                    g = PcGroup(pres, _checked=True)
+                    rows = span(g, gens, g.pc_generators()).rows
+                except CapExceededError:
+                    continue
+                try:
+                    _collect_row_words(PcGroup(pres, _checked=True), rows)
+                except CapExceededError:
+                    return pres, gens, limit
+                break
+    pytest.fail("no closure finished past a collection it skipped")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=_closures_past_a_lowered_step_limit())
+def test_dropped_words_past_the_step_limit_leave_the_closure(case):
+    """A normal closure whose only products past the step limit are words its
+    tail and support tests drop finishes, and equals the closure at the default
+    limit: same depths, same elements."""
+    pres, gens, limit = case
+    g = PcGroup(pres)
+    ref = span(g, gens, g.pc_generators())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcgroup, "_MAX_COLLECT_STEPS", limit)
+        low = PcGroup(pres, _checked=True)
+        sub = span(low, gens, low.pc_generators())
+        with pytest.raises(CapExceededError, match="^collection step limit exceeded$"):
+            _collect_row_words(PcGroup(pres, _checked=True), sub.rows)
+    assert sub.depths == ref.depths and sub.elements == ref.elements
 
 
 def test_presentation_rows_name_bad_indices():

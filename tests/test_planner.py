@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from ramify import (
     BreakSequence,
+    ClosedFormReport,
+    ConsistencyResult,
     FeasibilityResult,
     InfeasiblePlanError,
     InputError,
     PLFunc,
     TowerPlan,
+    ValidationReport,
     apf_plan,
     closed_form_check,
     compositum_merge,
@@ -92,6 +95,9 @@ def test_plan_validation():
         TowerPlan("nonapf", 2, 2, schedule=(1, 3), strict=1)
     with pytest.raises(InputError, match=r"^eps is indexed from the u_5 step \(k >= 2\), got k = 1$"):
         TowerPlan("apf", 2, 2, depth=3, eps=(1,), base_i1=5, base_i=16).eps_at(1)
+    with pytest.raises(InputError, match="^eps must be a list$"):
+        TowerPlan.from_json_dict({"kind": "apf", "p": 2, "e0": 2, "depth": 2, "eps": 1,
+                                  "base": {"i1": 5, "i": 16}})
 
 
 def test_plan_json_round_trip():
@@ -156,6 +162,14 @@ def test_records_are_frozen_values():
         TowerPlan("apf", 2)
     with pytest.raises(TypeError, match="unknown or repeated field 'p'"):
         TowerPlan("apf", 2, 2, p=3)
+    with pytest.raises(TypeError, match="^TowerPlan takes 11 fields, got 12$"):
+        TowerPlan(*range(12))
+    with pytest.raises(AttributeError, match="^cannot delete field 'depth' of a TowerPlan$"):
+        del plan.depth
+    # a result is true iff its ok field is
+    results = [ConsistencyResult, FeasibilityResult, ValidationReport,
+               lambda ok: ClosedFormReport(ok, None, (), (), True)]
+    assert [(bool(make(True)), bool(make(False))) for make in results] == [(True, False)] * 4
 
 
 # -- apf recursion ---------------------------------------------------------------
@@ -245,6 +259,10 @@ def test_closed_form_detects_perturbation():
     rep = closed_form_check(tampered, plan)
     assert not rep.ok
     assert rep.fail_level == 2
+    with pytest.raises(InputError, match="^closed_form_check applies to apf plans$"):
+        closed_form_check(seq, TowerPlan("nonapf", 2, 2, schedule=(1, 3, 5)))
+    with pytest.raises(InputError, match="^empty break sequence$"):
+        closed_form_check(BreakSequence((), (), ()), plan)
 
 
 # -- schedule towers --------------------------------------------------------------
